@@ -123,13 +123,3 @@ def catalog_hom(name: str) -> Homomorphism:
         raise GroupError(f"unknown hom {name!r}; known: {sorted(homs)}")
     return homs[name]
 
-
-def catalog_chains() -> list[tuple[str, str]]:
-    """Composable (h, k) pairs from the hom catalog, k applied after h."""
-    homs = catalog_homs()
-    chains = []
-    for name_h, h in homs.items():
-        for name_k, k in homs.items():
-            if h.target == k.source:
-                chains.append((name_h, name_k))
-    return chains

@@ -38,6 +38,9 @@ from .transfer import (
 
 PASS, FAIL, BUDGET = 0, 1, 2
 
+BUDGET_HELP = ("closures each transfer-system enumeration may compute "
+               "(default %(default)s); exit 2 once spent")
+
 
 def _read_json(path: str):
     if path == "-":
@@ -56,8 +59,7 @@ def _load_relation(path: str):
     data = _read_json(path)
     G = group_from_json(data["group"])
     lat = lattice_of(G)
-    rel = rel_from_pairs(lat.count, [tuple(p) for p in data["pairs"]])
-    return lat, rel
+    return lat, rel_from_pairs(lat.count, data["pairs"])
 
 
 def cmd_group(args) -> int:
@@ -174,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ts.add_argument("--group", help="group name for enumerate")
     p_ts.add_argument("--dot", action="store_true",
                       help="emit the Hasse diagram as DOT")
-    p_ts.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_ts.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                      help=BUDGET_HELP)
     p_ts.set_defaults(run=cmd_ts)
 
     p_fun = sub.add_parser("functor", help="apply a change-of-group functor")
@@ -198,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fuzz count for rewrite-criteria")
     p_ver.add_argument("--window", type=int, default=12,
                        help="fuzz term-size window for rewrite-criteria")
-    p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help=BUDGET_HELP)
     p_ver.set_defaults(run=cmd_verify)
 
     return parser

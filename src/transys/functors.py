@@ -1,9 +1,9 @@
 """Image and inverse-image functors on transfer systems along a homomorphism.
 
 Four constructions for f : G -> G': the left images/preimages are computed
-by generating from explicit pair sets, the right ones by cogenerating from
-pulled-back orders.  Their adjointness and functoriality are verified by
-the report operations below rather than assumed.
+by generating from the image or preimage pairs, the right ones by
+cogenerating from pulled-back orders.  Their adjointness and functoriality
+are verified by the report operations below rather than assumed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .groups import GroupError, Homomorphism, lattice_of
 from .transfer import (
     TransferSystem,
-    cogenerate,
+    cogenerate_pairs,
     generate_pairs,
     rel_from_pairs,
     validate,
@@ -23,117 +23,54 @@ from .transfer import (
 KINDS = ("fL", "finvL", "fR", "finvR")
 
 
-def _image_id(f: Homomorphism, lat_src, lat_tgt, i: int) -> int:
-    members = {f.map[a] for a in lat_src.subgroups[i].members}
-    return lat_tgt.id_of_members(members)
-
-
-def _preimage_id(f: Homomorphism, lat_src, lat_tgt, j: int) -> int:
-    mem = lat_tgt.subgroups[j].member_set
-    return lat_src.id_of_members(a for a in f.source.elements() if f.map[a] in mem)
-
-
 def image_L(f: Homomorphism, t: TransferSystem) -> TransferSystem:
-    """f_L: pushes t forward and closes up; lands on the target group.
-
-    Uses the simplified generating set: conjugates of (fK, fH) over the
-    target group, then the reflexive-transitive closure.
-    """
+    """f_L: the least transfer system on the target holding every (fK, fH)."""
     if t.group != f.source:
         raise GroupError("transfer system lives on the wrong group for f_L")
-    lat_src = lattice_of(f.source)
-    lat_tgt = lattice_of(f.target)
-    base = set()
-    for i, j in t.pairs():
-        fi = _image_id(f, lat_src, lat_tgt, i)
-        fj = _image_id(f, lat_src, lat_tgt, j)
-        for g in f.target.elements():
-            base.add((lat_tgt.conj_table[g][fi], lat_tgt.conj_table[g][fj]))
-    return _refl_trans(lat_tgt, base)
-
-
-def image_L_defining(f: Homomorphism, t: TransferSystem) -> TransferSystem:
-    """f_L computed straight from the definition: generate the raw image."""
-    lat_src = lattice_of(f.source)
-    lat_tgt = lattice_of(f.target)
-    base = {(_image_id(f, lat_src, lat_tgt, i), _image_id(f, lat_src, lat_tgt, j))
-            for i, j in t.pairs()}
-    return generate_pairs(lat_tgt, base)
+    ids = f.image_ids
+    return generate_pairs(lattice_of(f.target),
+                          {(ids[i], ids[j]) for i, j in t.pairs()})
 
 
 def preimage_L(f: Homomorphism, t: TransferSystem) -> TransferSystem:
-    """f^-1_L: pulls t back along subgroup preimages and closes up."""
+    """f^-1_L: the least transfer system on the source holding every
+    (f^-1 K, f^-1 H)."""
     if t.group != f.target:
         raise GroupError("transfer system lives on the wrong group for f^-1_L")
-    lat_src = lattice_of(f.source)
-    lat_tgt = lattice_of(f.target)
-    base = set()
-    for i, j in t.pairs():
-        pi = _preimage_id(f, lat_src, lat_tgt, i)
-        pj = _preimage_id(f, lat_src, lat_tgt, j)
-        for l in lat_src.ids_below(pj):
-            base.add((lat_src.meet_table[pi][l], l))
-    return _refl_trans(lat_src, base)
+    ids = f.preimage_ids
+    return generate_pairs(lattice_of(f.source),
+                          {(ids[i], ids[j]) for i, j in t.pairs()})
 
 
-def preimage_L_defining(f: Homomorphism, t: TransferSystem) -> TransferSystem:
-    lat_src = lattice_of(f.source)
-    lat_tgt = lattice_of(f.target)
-    base = {(_preimage_id(f, lat_src, lat_tgt, i),
-             _preimage_id(f, lat_src, lat_tgt, j)) for i, j in t.pairs()}
-    return generate_pairs(lat_src, base)
+def _pulled_back(lat, ids: tuple[int, ...], t: TransferSystem):
+    """The pairs K <= H of lat whose images under ``ids`` are related in t."""
+    return [(i, j) for i, row in enumerate(lat.leq)
+            for j, below in enumerate(row) if below and t.rel[ids[i]][ids[j]]]
 
 
 def image_R(f: Homomorphism, t: TransferSystem) -> TransferSystem:
     """f_R: cogeneration of the relation pulled back along subgroup preimage."""
     if t.group != f.source:
         raise GroupError("transfer system lives on the wrong group for f_R")
-    lat_src = lattice_of(f.source)
-    lat_tgt = lattice_of(f.target)
-    pairs = []
-    for i in range(lat_tgt.count):
-        for j in range(lat_tgt.count):
-            if not lat_tgt.leq[i][j]:
-                continue
-            pi = _preimage_id(f, lat_src, lat_tgt, i)
-            pj = _preimage_id(f, lat_src, lat_tgt, j)
-            if t.has(pi, pj):
-                pairs.append((i, j))
-    rel = rel_from_pairs(lat_tgt.count, pairs)
-    return cogenerate(lat_tgt, rel, check=False)
+    lat = lattice_of(f.target)
+    return cogenerate_pairs(lat, _pulled_back(lat, f.preimage_ids, t))
 
 
 def preimage_R(f: Homomorphism, t: TransferSystem) -> TransferSystem:
     """f^-1_R: cogeneration of the relation pulled back along subgroup image."""
     if t.group != f.target:
         raise GroupError("transfer system lives on the wrong group for f^-1_R")
-    lat_src = lattice_of(f.source)
-    lat_tgt = lattice_of(f.target)
-    pairs = []
-    for i in range(lat_src.count):
-        for j in range(lat_src.count):
-            if not lat_src.leq[i][j]:
-                continue
-            fi = _image_id(f, lat_src, lat_tgt, i)
-            fj = _image_id(f, lat_src, lat_tgt, j)
-            if t.has(fi, fj):
-                pairs.append((i, j))
-    rel = rel_from_pairs(lat_src.count, pairs)
-    return cogenerate(lat_src, rel, check=False)
+    lat = lattice_of(f.source)
+    return cogenerate_pairs(lat, _pulled_back(lat, f.image_ids, t))
 
 
 def raw_pullback(m: Homomorphism, t: TransferSystem) -> TransferSystem:
     """For injective m the plain pullback is already a transfer system."""
     if not m.is_injective:
         raise GroupError("raw pullback is only a transfer system for injective maps")
-    lat_src = lattice_of(m.source)
-    lat_tgt = lattice_of(m.target)
-    pairs = [(i, j)
-             for i in range(lat_src.count) for j in range(lat_src.count)
-             if lat_src.leq[i][j]
-             and t.has(_image_id(m, lat_src, lat_tgt, i),
-                       _image_id(m, lat_src, lat_tgt, j))]
-    return validate(lat_src, rel_from_pairs(lat_src.count, pairs))
+    lat = lattice_of(m.source)
+    return validate(lat, rel_from_pairs(lat.count,
+                                        _pulled_back(lat, m.image_ids, t)))
 
 
 def apply_functor(kind: str, f: Homomorphism, t: TransferSystem) -> TransferSystem:
@@ -146,21 +83,6 @@ def apply_functor(kind: str, f: Homomorphism, t: TransferSystem) -> TransferSyst
     if kind == "finvR":
         return preimage_R(f, t)
     raise GroupError(f"unknown functor kind {kind!r}; expected one of {KINDS}")
-
-
-def _refl_trans(lat, pairs: set) -> TransferSystem:
-    n = lat.count
-    current = set(pairs)
-    current.update((i, i) for i in range(n))
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(current):
-            for k in range(n):
-                if (j, k) in current and (i, k) not in current:
-                    current.add((i, k))
-                    changed = True
-    return TransferSystem(lat.group, rel_from_pairs(n, current), lat)
 
 
 # ---------------------------------------------------------------------------

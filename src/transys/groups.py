@@ -55,7 +55,7 @@ class Group:
     name: str = field(compare=False, default="G")
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.mul)
+        rows = tuple(tuple(row) for row in self.mul)
         object.__setattr__(self, "mul", rows)
         n = len(rows)
         if n == 0:
@@ -66,8 +66,9 @@ class Group:
             if len(row) != n:
                 raise GroupError(f"row {i} has length {len(row)}, expected {n}")
             for x in row:
-                if not 0 <= x < n:
-                    raise GroupError(f"entry {x} out of range in row {i}")
+                if type(x) is not int or not 0 <= x < n:
+                    raise GroupError(f"entry {x!r} in row {i} is not an "
+                                     f"element id in range({n})")
         for a in range(n):
             if rows[0][a] != a or rows[a][0] != a:
                 raise GroupError("identity must sit at index 0")
@@ -380,12 +381,12 @@ class Homomorphism:
     map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "map", tuple(int(x) for x in self.map))
+        object.__setattr__(self, "map", tuple(self.map))
         if len(self.map) != self.source.order:
             raise GroupError("map table must cover every source element")
         for x in self.map:
-            if not 0 <= x < self.target.order:
-                raise GroupError(f"map value {x} outside target")
+            if type(x) is not int or not 0 <= x < self.target.order:
+                raise GroupError(f"map value {x!r} is not a target element id")
         if self.map[0] != 0:
             raise GroupError("map must send identity to identity")
         for a in self.source.elements():
@@ -403,6 +404,21 @@ class Homomorphism:
     @cached_property
     def is_injective(self) -> bool:
         return len(set(self.map)) == self.source.order
+
+    @cached_property
+    def image_ids(self) -> tuple[int, ...]:
+        """Subgroup id of f(K) for each subgroup id K of the source."""
+        lat = lattice_of(self.target)
+        return tuple(lat.id_of_members(self.map[a] for a in K.members)
+                     for K in lattice_of(self.source).subgroups)
+
+    @cached_property
+    def preimage_ids(self) -> tuple[int, ...]:
+        """Subgroup id of f^-1(H) for each subgroup id H of the target."""
+        lat = lattice_of(self.source)
+        return tuple(lat.id_of_members(a for a in self.source.elements()
+                                       if self.map[a] in H.member_set)
+                     for H in lattice_of(self.target).subgroups)
 
     def image(self) -> Subgroup:
         return Subgroup(self.target, tuple(set(self.map)))
@@ -499,16 +515,17 @@ class FiniteGSet:
     side: str = "left"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "act",
-                           tuple(tuple(int(x) for x in row) for row in self.act))
+        object.__setattr__(self, "act", tuple(map(tuple, self.act)))
         H = self.subgroup
         if self.side not in ("left", "right"):
             raise GroupError(f"unknown action side {self.side!r}")
         if len(self.act) != H.order:
             raise GroupError("need one action row per subgroup member")
+        points = list(range(self.size))
         for row in self.act:
-            if sorted(row) != list(range(self.size)):
-                raise GroupError("action rows must be permutations of the points")
+            if sorted(row) != points or not set(map(type, row)) <= {int}:
+                raise GroupError(
+                    "action rows must be permutations of the points, as ints")
         if self.act[0] != identity_perm(self.size):
             raise GroupError("identity must act trivially")
         mul = H.group.mul

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .groups import (
     FiniteGSet,
@@ -67,7 +67,9 @@ class App:
     children: tuple
 
 
-Term = Union[Var, App]
+# Not typing.Union, whose cache would keep these classes, and with them a
+# whole copy of the package, alive after the package is imported afresh.
+Term = Var | App
 
 
 class SymbolPool:

@@ -3,12 +3,15 @@
 A relation on the subgroup list is kept as a dense boolean matrix indexed
 by subgroup ids (the canonical `all_subgroups` order).  A transfer system
 is a validated relation: a partial order refining inclusion that is closed
-under conjugation and under restriction.
+under conjugation and under restriction.  Closure, cogeneration, joins,
+enumeration and Hasse covers run on a bitset form of the same relations,
+built once per subgroup lattice (`_Core`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from .catalog import group_from_json, group_to_json
@@ -20,14 +23,21 @@ DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration exceeds its visit budget."""
+    """Raised when an enumeration has computed its budget of closures;
+    ``closures`` and ``found`` say how far it got."""
+
+    def __init__(self, message: str, closures: int, found: int):
+        super().__init__(message)
+        self.closures, self.found = closures, found
 
 
 @dataclass
 class Violation:
     """First failed transfer-system axiom, with subgroup-id witnesses."""
 
-    kind: str            # refinement | reflexivity | transitivity | conjugation | restriction
+    # subgroup id | refinement | reflexivity | transitivity | conjugation
+    # | restriction
+    kind: str
     witness: dict
 
     def describe(self) -> str:
@@ -43,11 +53,21 @@ class TransferSystemError(ValueError):
 
 def rel_from_pairs(count: int, pairs: Iterable[tuple[int, int]],
                    reflexive: bool = True) -> Rel:
+    """Relation matrix of a pair list; ids must be ints in range(count)."""
     m = [[False] * count for _ in range(count)]
     if reflexive:
         for i in range(count):
             m[i][i] = True
-    for i, j in pairs:
+    for pair in pairs:
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            raise TransferSystemError(
+                Violation("subgroup id", {"pair": pair})) from None
+        for x in (i, j):
+            if type(x) is not int or not 0 <= x < count:
+                raise TransferSystemError(
+                    Violation("subgroup id", {"id": x, "count": count}))
         m[i][j] = True
     return tuple(tuple(row) for row in m)
 
@@ -68,11 +88,25 @@ def _check_refinement(lat: SubgroupLattice, rel: Rel) -> Optional[Violation]:
     return None
 
 
-def _check_axioms(lat: SubgroupLattice, rel: Rel) -> Optional[Violation]:
-    n = lat.count
-    for i in range(n):
-        if not rel[i][i]:
+def _check_reflexive(rel: Rel) -> Optional[Violation]:
+    for i, row in enumerate(rel):
+        if not row[i]:
             return Violation("reflexivity", {"K": i})
+    return None
+
+
+def _check_transitive(rel: Rel) -> Optional[Violation]:
+    for i, j in rel_pairs(rel, nontrivial=False):
+        for k, v in enumerate(rel[j]):
+            if v and not rel[i][k]:
+                return Violation("transitivity", {"K": i, "J": j, "H": k})
+    return None
+
+
+def _check_axioms(lat: SubgroupLattice, rel: Rel) -> Optional[Violation]:
+    bad = _check_reflexive(rel)
+    if bad is not None:
+        return bad
     for i, j in rel_pairs(rel):
         for g in lat.group.elements():
             if not rel[lat.conj_table[g][i]][lat.conj_table[g][j]]:
@@ -80,14 +114,7 @@ def _check_axioms(lat: SubgroupLattice, rel: Rel) -> Optional[Violation]:
         for l in lat.ids_below(j):
             if not rel[lat.meet_table[l][i]][l]:
                 return Violation("restriction", {"K": i, "H": j, "L": l})
-    for i in range(n):
-        for j in range(n):
-            if not rel[i][j]:
-                continue
-            for k in range(n):
-                if rel[j][k] and not rel[i][k]:
-                    return Violation("transitivity", {"K": i, "J": j, "H": k})
-    return None
+    return _check_transitive(rel)
 
 
 @dataclass(frozen=True)
@@ -143,88 +170,132 @@ def complete(G: Group) -> TransferSystem:
     return TransferSystem(G, lat.leq, lat)
 
 
-def _saturate(lat: SubgroupLattice, pairs: set[tuple[int, int]]) -> frozenset:
-    """Close a pair set under conjugation, restriction, and transitivity."""
-    n = lat.count
-    current = set(pairs)
-    current.update((i, i) for i in range(n))
-    while True:
-        size = len(current)
-        for i, j in list(current):
-            for g in lat.group.elements():
-                current.add((lat.conj_table[g][i], lat.conj_table[g][j]))
-        for i, j in list(current):
-            for l in lat.ids_below(j):
-                current.add((lat.meet_table[l][i], l))
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for i, j in list(current):
-                for k in range(n):
-                    if (j, k) in current and (i, k) not in current:
-                        current.add((i, k))
-                        changed = True
-        if len(current) == size:
-            return frozenset(current)
+class _Core:
+    """Relations on one subgroup lattice as bitsets over the pairs K < H.
+
+    Pair (K, H) is bit ``K * n + H``, its place in the row-major relation
+    matrix, so comparing two masks from the lowest bit up compares their
+    `TransferSystem.flat` tuples.  The diagonal is implicit.
+    """
+
+    def __init__(self, lat: SubgroupLattice):
+        self.lat = lat
+        n = self.n = lat.count
+        leq, meet_table = lat.leq, lat.meet_table
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if i != j and leq[i][j]]
+        self.ids = [i * n + j for i, j in pairs]
+        into = [sum(1 << (k * n + i) for k in range(i) if leq[k][i])
+                for i in range(n)]
+        out_of = [sum(1 << (j * n + l) for l in range(j + 1, n) if leq[j][l])
+                  for j in range(n)]
+        # (K, H) implies by conjugation and restriction exactly the pairs
+        # (gKg^-1 n L, L) with L inside gHg^-1: conjugates of restrictions
+        # are restrictions of conjugates, so no further round adds any.
+        self.step: list = [None] * (n * n)
+        for (i, j), p in zip(pairs, self.ids):
+            implied = 0
+            for ci, cj in {(c[i], c[j]) for c in lat.conj_table}:
+                for l in range(cj + 1):
+                    k = meet_table[ci][l]
+                    if leq[l][cj] and k != l:
+                        implied |= 1 << (k * n + l)
+            self.step[p] = (implied, into[i], j - i, out_of[j], (j - i) * n)
+        self._rows: dict[int, tuple[bool, ...]] = {}
+
+    def close(self, mask: int) -> int:
+        """The least transfer system containing a mask, as a mask.
+
+        Each pair taken off the worklist adds what it implies and its
+        composites with the pairs already present, which the in-mask of
+        its bottom and the out-mask of its top pick out.
+        """
+        step = self.step
+        closed = 0
+        todo = mask
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            closed |= low
+            implied, into, up, out_of, down = step[low.bit_length() - 1]
+            new = (implied | (closed & into) << up
+                   | (closed & out_of) >> down) & ~closed
+            closed |= new
+            todo |= new
+        return closed
+
+    def interior(self, mask: int) -> int:
+        """The largest transfer system inside a mask: the pairs whose
+        implications all lie in it."""
+        return sum(1 << p for p in self.ids if not self.step[p][0] & ~mask)
+
+    def mask(self, rel: Rel) -> int:
+        return self.mask_of_pairs(rel_pairs(rel))
+
+    def mask_of_pairs(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """Raises a refinement violation at the first pair not K <= H."""
+        m = 0
+        for i, j in pairs:
+            if not self.lat.leq[i][j]:
+                raise TransferSystemError(
+                    Violation("refinement", {"K": i, "H": j}))
+            if i != j:
+                m |= 1 << (i * self.n + j)
+        return m
+
+    def system(self, mask: int) -> TransferSystem:
+        n, rows = self.n, self._rows
+        rel = []
+        for i in range(n):
+            r = (mask >> (i * n)) & ((1 << n) - 1) | 1 << i
+            row = rows.get(r)
+            if row is None:
+                row = rows[r] = tuple(bool(r >> j & 1) for j in range(n))
+            rel.append(row)
+        return TransferSystem(self.lat.group, tuple(rel), self.lat)
+
+
+@cache
+def _core(lat: SubgroupLattice) -> _Core:
+    """Built on first use, not with the lattice."""
+    return _Core(lat)
 
 
 def generate(lat: SubgroupLattice, rel: Rel) -> TransferSystem:
     """Least transfer system containing a relation that refines inclusion."""
-    bad = _check_refinement(lat, rel)
-    if bad is not None:
-        raise TransferSystemError(bad)
-    closed = _saturate(lat, set(rel_pairs(rel, nontrivial=False)))
-    return TransferSystem(lat.group, rel_from_pairs(lat.count, closed), lat)
+    core = _core(lat)
+    return core.system(core.close(core.mask(rel)))
 
 
 def generate_pairs(lat: SubgroupLattice,
                    pairs: Iterable[tuple[int, int]]) -> TransferSystem:
-    return TransferSystem(lat.group,
-                          rel_from_pairs(lat.count, _saturate(lat, set(pairs))),
-                          lat)
+    """Least transfer system containing pairs (K, H) with K inside H."""
+    core = _core(lat)
+    return core.system(core.close(core.mask_of_pairs(pairs)))
 
 
 def cogenerate(lat: SubgroupLattice, rel: Rel,
                check: bool = True) -> TransferSystem:
     """Largest transfer system contained in a partial order refining inclusion.
 
-    Keeps (K, H) iff for every g and every L inside gHg^-1 the pair
-    (gKg^-1 n L, L) already lies in the input order.
+    Keeps (K, H) iff everything it implies, the pairs (gKg^-1 n L, L) for
+    every g and every L inside gHg^-1, already lies in the input order.
     """
     if check:
-        bad = _check_refinement(lat, rel)
+        bad = (_check_refinement(lat, rel) or _check_reflexive(rel)
+               or _check_transitive(rel))
         if bad is not None:
             raise TransferSystemError(bad)
-        n = lat.count
-        for i in range(n):
-            if not rel[i][i]:
-                raise TransferSystemError(Violation("reflexivity", {"K": i}))
-        for i in range(n):
-            for j in range(n):
-                if not rel[i][j]:
-                    continue
-                for k in range(n):
-                    if rel[j][k] and not rel[i][k]:
-                        raise TransferSystemError(
-                            Violation("transitivity", {"K": i, "J": j, "H": k}))
-    kept = set()
-    for i in range(lat.count):
-        for j in range(lat.count):
-            if not lat.leq[i][j]:
-                continue
-            ok = True
-            for g in lat.group.elements():
-                ci, cj = lat.conj_table[g][i], lat.conj_table[g][j]
-                for l in lat.ids_below(cj):
-                    if not rel[lat.meet_table[ci][l]][l]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                kept.add((i, j))
-    return TransferSystem(lat.group, rel_from_pairs(lat.count, kept), lat)
+    core = _core(lat)
+    return core.system(core.interior(core.mask(rel)))
+
+
+def cogenerate_pairs(lat: SubgroupLattice,
+                     pairs: Iterable[tuple[int, int]]) -> TransferSystem:
+    """Largest transfer system inside the relation made of these pairs
+    K <= H; unlike `cogenerate`, the relation is not checked."""
+    core = _core(lat)
+    return core.system(core.interior(core.mask_of_pairs(pairs)))
 
 
 def meet(s: TransferSystem, t: TransferSystem) -> TransferSystem:
@@ -236,21 +307,10 @@ def meet(s: TransferSystem, t: TransferSystem) -> TransferSystem:
 
 
 def join(s: TransferSystem, t: TransferSystem) -> TransferSystem:
-    """Least upper bound: the transitive closure of the union."""
+    """Least upper bound: the closure of the union."""
     _require_same_group(s, t)
-    lat = s.lattice
-    n = lat.count
-    current = {p for p in rel_pairs(s.rel, nontrivial=False)}
-    current.update(rel_pairs(t.rel, nontrivial=False))
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(current):
-            for k in range(n):
-                if (j, k) in current and (i, k) not in current:
-                    current.add((i, k))
-                    changed = True
-    return TransferSystem(s.group, rel_from_pairs(n, current), lat)
+    core = _core(s.lattice)
+    return core.system(core.close(core.mask(s.rel) | core.mask(t.rel)))
 
 
 def enumerate_transfer_systems(G: Group,
@@ -258,59 +318,75 @@ def enumerate_transfer_systems(G: Group,
                                ) -> tuple[TransferSystem, ...]:
     """All transfer systems on G in canonical (flattened matrix) order.
 
-    Backtracks over the nontrivial comparable pairs, propagating closure
-    consequences when a pair is switched on and pruning branches whose
-    closure collides with an excluded pair.
+    Transfer systems are the closed sets of `generate`, so Ganter's
+    NextClosure lists them in lectic order over the pair bits, with at
+    most one closure per pair for each system.  The bits run in row-major
+    matrix order, which makes the lectic order that of
+    `TransferSystem.flat`.  ``budget`` caps the number of closures.
     """
-    lat = lattice_of(G)
-    candidates = [(i, j) for i in range(lat.count) for j in range(lat.count)
-                  if i != j and lat.leq[i][j]]
-    diagonal = frozenset((i, i) for i in range(lat.count))
-    results: set[frozenset] = set()
-    visits = 0
-
-    def dfs(k: int, current: frozenset, excluded: frozenset) -> None:
-        nonlocal visits
-        visits += 1
-        if visits > budget:
-            raise BudgetExceededError(
-                f"enumeration budget {budget} exhausted on {G.name}")
-        if k == len(candidates):
-            results.add(current)
-            return
-        pair = candidates[k]
-        if pair in current:
-            dfs(k + 1, current, excluded)
-            return
-        dfs(k + 1, current, excluded | {pair})
-        closed = _saturate(lat, set(current | {pair}))
-        if not (closed & excluded):
-            dfs(k + 1, closed, excluded)
-
-    dfs(0, diagonal, frozenset())
-    systems = [TransferSystem(G, rel_from_pairs(lat.count, pairs), lat)
-               for pairs in results]
-    systems.sort(key=lambda t: t.flat())
-    return tuple(systems)
-
-
-def refines_matrix(systems: Sequence[TransferSystem]) -> tuple[tuple[bool, ...], ...]:
-    return tuple(tuple(s.refines(t) for t in systems) for s in systems)
+    core = _core(lattice_of(G))
+    close = core.close
+    top_down = core.ids[::-1]
+    current = 0                   # the discrete system comes first
+    found = [current]
+    closures = 0
+    while True:
+        for p in top_down:
+            bit = 1 << p
+            if current & bit:
+                continue
+            if closures >= budget:
+                raise BudgetExceededError(
+                    f"enumeration budget of {budget} closures spent on "
+                    f"{G.name}; systems found so far: {len(found)}",
+                    closures, len(found))
+            closures += 1
+            below = bit - 1
+            nxt = close((current & below) | bit)
+            if not nxt & below & ~current:
+                break
+        else:
+            return tuple(core.system(m) for m in found)
+        current = nxt
+        found.append(current)
 
 
 def hasse(systems: Sequence[TransferSystem]) -> list[tuple[int, int]]:
-    """Cover relation of the (assumed complete) enumerated lattice."""
-    leq = refines_matrix(systems)
-    n = len(systems)
+    """Cover relation of a family of systems on one group: the sorted index
+    pairs (a, b) where a refines b and no member lies strictly between.
+
+    The up-set of a member is a bitmask over the family, the AND of the
+    holders of its pairs.  Ranked by pair count, the lowest member of a set
+    is minimal in it, so the upper covers of a come out one at a time: the
+    lowest member of up(a) - {a}, then drop everything above it.
+    """
+    if not systems:
+        return []
+    for t in systems:
+        _require_same_group(systems[0], t)
+    core = _core(systems[0].lattice)
+    masks = [core.mask(t.rel) for t in systems]
+    order = sorted(range(len(systems)), key=lambda a: masks[a].bit_count())
+    holders = [0] * (core.n * core.n)     # pair bit -> ranks holding it
+    for r, a in enumerate(order):
+        for p in core.ids:
+            if masks[a] >> p & 1:
+                holders[p] |= 1 << r
+    ups = []
+    for a in order:
+        up = (1 << len(systems)) - 1
+        for p in core.ids:
+            if masks[a] >> p & 1:
+                up &= holders[p]
+        ups.append(up)
     covers = []
-    for a in range(n):
-        for b in range(n):
-            if a == b or not leq[a][b]:
-                continue
-            if any(leq[a][c] and leq[c][b] for c in range(n)
-                   if c != a and c != b):
-                continue
-            covers.append((a, b))
+    for r, up in enumerate(ups):
+        rest = up ^ 1 << r
+        while rest:
+            c = (rest & -rest).bit_length() - 1
+            covers.append((order[r], order[c]))
+            rest &= ~ups[c]
+    covers.sort()
     return covers
 
 
@@ -325,8 +401,7 @@ def ts_to_json(t: TransferSystem) -> dict:
 def ts_from_json(data, group: Optional[Group] = None) -> TransferSystem:
     G = group if group is not None else group_from_json(data["group"])
     lat = lattice_of(G)
-    rel = rel_from_pairs(lat.count, [tuple(p) for p in data["pairs"]])
-    return validate(lat, rel)
+    return validate(lat, rel_from_pairs(lat.count, data["pairs"]))
 
 
 def hasse_dot(systems: Sequence[TransferSystem],

@@ -69,6 +69,32 @@ def test_ts_validate_and_ops(tmp_path, capsys):
     assert code == 0 and json.loads(out)["pairs"] == [[0, 1]]
 
 
+def test_ts_negative_pair_id_rejected(tmp_path, capsys):
+    # -1 used to index from the end and read as the pair (0, 2)
+    rel = tmp_path / "neg.json"
+    rel.write_text(json.dumps({"group": "C4", "pairs": [[0, -1]]}))
+    for action in ("validate", "generate", "cogenerate"):
+        code, out, err = run(capsys, "ts", action, str(rel))
+        assert code == 1 and out == "" and "subgroup id" in err
+    code, _, err = run(capsys, "ts", "join", str(rel), str(rel))
+    assert code == 1 and "subgroup id" in err
+
+
+def test_ts_out_of_range_pair_id_rejected(tmp_path, capsys):
+    # 7 used to escape as an IndexError traceback
+    rel = tmp_path / "big.json"
+    rel.write_text(json.dumps({"group": "C4", "pairs": [[0, 7]]}))
+    code, out, err = run(capsys, "ts", "validate", str(rel))
+    assert code == 1 and out == "" and "id=7" in err
+    code, _, err = run(capsys, "functor", "apply", "--kind", "fR",
+                       "--hom", "id_C4", "--input", str(rel))
+    assert code == 1 and "subgroup id" in err
+    for pairs in ([[0, True]], [[0, 1.0]], [[0]], [3]):
+        rel.write_text(json.dumps({"group": "C4", "pairs": pairs}))
+        code, _, err = run(capsys, "ts", "generate", str(rel))
+        assert code == 1 and "subgroup id" in err
+
+
 def test_functor_apply(tmp_path, capsys):
     one = tmp_path / "one.json"
     one.write_text(json.dumps({"group": {"kind": "cyclic", "n": 1},

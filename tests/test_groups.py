@@ -69,6 +69,30 @@ def test_group_table_validation():
         Group(((1, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("mul", [
+    [[0, 1.7], [1.2, 0]],            # was truncated to C2 by int()
+    [[0, 1.0], [1.0, 0]],
+    [[False, True], [True, False]],  # bools are not element ids
+    [[0, "1"], ["1", 0]],
+])
+def test_group_table_rejects_non_int_entries(mul):
+    with pytest.raises(GroupError, match="not an element id"):
+        Group(mul)
+    assert Group([[0, 1], [1, 0]]).mul == ((0, 1), (1, 0))
+
+
+def test_hom_and_action_tables_reject_non_int_entries():
+    C2, C4 = cyclic_group(2), cyclic_group(4)
+    for bad in ((0, 2.0), (0, 2.5), (False, 2)):
+        with pytest.raises(GroupError, match="not a target element id"):
+            hom(C2, C4, bad)
+    full = full_subgroup(C2)
+    for bad in (((0, 1), (1.0, 0)), ((0, 1), (True, False))):
+        with pytest.raises(GroupError, match="as ints"):
+            FiniteGSet(full, 2, bad)
+    assert FiniteGSet(full, 2, [[0, 1], [1, 0]]).act == ((0, 1), (1, 0))
+
+
 def _subgroups_by_subset_filter(G):
     """Independent oracle: check closure of every subset containing 0."""
     out = []
