@@ -56,16 +56,28 @@ def group_to_json(G: Group) -> dict:
     return {"name": G.name, "order": G.order, "mul": [list(row) for row in G.mul]}
 
 
+def json_field(data, key: str, what: str):
+    """``data[key]`` of a wire-format object; a GroupError naming the key
+    when the key is missing or the payload is not an object."""
+    if not isinstance(data, dict):
+        raise GroupError(f"{what} must be a JSON object with key {key!r}, "
+                         f"got {type(data).__name__}")
+    if key not in data:
+        raise GroupError(f"{what} is missing the key {key!r}")
+    return data[key]
+
+
 def group_from_json(data) -> Group:
     if isinstance(data, str):
         return group_by_name(data)
-    if "kind" in data:
+    if isinstance(data, dict) and "kind" in data:
         kind = data["kind"]
         if kind == "direct_product":
-            factors = tuple(group_from_json(f) for f in data["factors"])
+            factors = tuple(group_from_json(f)
+                            for f in json_field(data, "factors", "group"))
             return make_group(kind, factors=factors)
         return make_group(kind, data.get("n"))
-    return Group(tuple(tuple(row) for row in data["mul"]),
+    return Group(tuple(tuple(row) for row in json_field(data, "mul", "group")),
                  name=data.get("name", "G"))
 
 
@@ -78,9 +90,9 @@ def hom_to_json(f: Homomorphism) -> dict:
 
 
 def hom_from_json(data) -> Homomorphism:
-    return Homomorphism(group_from_json(data["source"]),
-                        group_from_json(data["target"]),
-                        tuple(data["map"]))
+    return Homomorphism(group_from_json(json_field(data, "source", "hom")),
+                        group_from_json(json_field(data, "target", "hom")),
+                        tuple(json_field(data, "map", "hom")))
 
 
 def _transposition(S3: Group) -> int:

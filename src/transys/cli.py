@@ -15,11 +15,10 @@ from .catalog import (
     catalog_hom,
     catalog_homs,
     group_by_name,
-    group_from_json,
     group_to_json,
     hom_from_json,
 )
-from .groups import GroupError, all_subgroups, lattice_of
+from .groups import GroupError, all_subgroups
 from .transfer import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -30,7 +29,7 @@ from .transfer import (
     hasse_dot,
     join,
     meet,
-    rel_from_pairs,
+    rel_from_json,
     ts_from_json,
     ts_to_json,
     validate,
@@ -52,14 +51,6 @@ def _read_json(path: str):
 def _emit(data) -> None:
     json.dump(data, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-
-
-def _load_relation(path: str):
-    """A {"group", "pairs"} file as a raw relation matrix, unvalidated."""
-    data = _read_json(path)
-    G = group_from_json(data["group"])
-    lat = lattice_of(G)
-    return lat, rel_from_pairs(lat.count, data["pairs"])
 
 
 def cmd_group(args) -> int:
@@ -93,7 +84,7 @@ def cmd_ts(args) -> int:
                    "systems": [[list(p) for p in t.pairs()] for t in systems]})
         return PASS
     if args.action == "validate":
-        lat, rel = _load_relation(args.input)
+        lat, rel = rel_from_json(_read_json(args.input))
         try:
             t = validate(lat, rel)
         except TransferSystemError as err:
@@ -103,11 +94,11 @@ def cmd_ts(args) -> int:
         _emit({"valid": True, **ts_to_json(t)})
         return PASS
     if args.action == "generate":
-        lat, rel = _load_relation(args.input)
+        lat, rel = rel_from_json(_read_json(args.input))
         _emit(ts_to_json(generate(lat, rel)))
         return PASS
     if args.action == "cogenerate":
-        lat, rel = _load_relation(args.input)
+        lat, rel = rel_from_json(_read_json(args.input))
         _emit(ts_to_json(cogenerate(lat, rel)))
         return PASS
     if args.action in ("meet", "join"):

@@ -613,48 +613,64 @@ class FiniteGSet:
     def orbit_stabilizers(self) -> list[tuple[tuple[int, ...], Subgroup]]:
         return [(orbit, self.stabilizer(orbit[0])) for orbit in self.orbits()]
 
+    @cached_property
+    def stabilizer_ids(self) -> tuple[int, ...]:
+        """Lattice id of the stabilizer of each orbit's least point."""
+        lat = lattice_of(self.group)
+        return tuple(lat.id_of_members(g for g in self.subgroup.members
+                                       if self.act_of(g)[orbit[0]] == orbit[0])
+                     for orbit in self.orbits())
+
+
+def cosets(G: Group, elems: Iterable[int], K: Subgroup, right: bool = False
+           ) -> tuple[list[int], dict[int, int]]:
+    """The left cosets aK (right cosets Ka when ``right``) partitioning
+    ``elems``, which must be listed in ascending order.
+
+    Returns the least element of each coset, ordered by least element, and
+    the coset number of every element.
+    """
+    reps: list[int] = []
+    number: dict[int, int] = {}
+    for a in elems:
+        if a not in number:
+            for k in K.members:
+                number[G.mul[k][a] if right else G.mul[a][k]] = len(reps)
+            reps.append(a)
+    return reps, number
+
+
+def hset_of_orbits(H: Subgroup, parts: Iterable[Subgroup]) -> FiniteGSet:
+    """The left H-set H/K_1 + H/K_2 + ..., one block per part in the given
+    order, the points of each block being its cosets by least element."""
+    G = H.group
+    rows: list[list[int]] = [[] for _ in H.members]
+    size = 0
+    for K in parts:
+        if not H.contains(K):
+            raise GroupError("coset space needs K <= H")
+        reps, number = cosets(G, H.members, K)
+        for row, g in zip(rows, H.members):
+            row.extend(size + number[G.mul[g][r]] for r in reps)
+        size += len(reps)
+    return FiniteGSet(H, size, rows)
+
 
 def trivial_hset(H: Subgroup, n: int) -> FiniteGSet:
-    return FiniteGSet(H, n, tuple(identity_perm(n) for _ in H.members))
+    return hset_of_orbits(H, (H,) * n)
 
 
 def coset_hset(H: Subgroup, K: Subgroup) -> FiniteGSet:
     """The transitive left H-set H/K; cosets ordered by least element."""
-    if not H.contains(K):
-        raise GroupError("coset space needs K <= H")
-    G = H.group
-    seen = set()
-    cosets = []
-    for h in H.members:
-        cs = frozenset(G.mul[h][k] for k in K.members)
-        if cs not in seen:
-            seen.add(cs)
-            cosets.append(cs)
-    cosets.sort(key=min)
-    point_of = {x: i for i, cs in enumerate(cosets) for x in cs}
-    reps = [min(cs) for cs in cosets]
-    rows = []
-    for g in H.members:
-        rows.append(tuple(point_of[G.mul[g][r]] for r in reps))
-    return FiniteGSet(H, len(cosets), tuple(rows))
+    return hset_of_orbits(H, (K,))
 
 
 def right_coset_gset(G: Group, H: Subgroup) -> FiniteGSet:
     """The right G-set H\\G of right cosets Hg, ordered by least element."""
-    seen = set()
-    cosets = []
-    for g in G.elements():
-        cs = frozenset(G.mul[h][g] for h in H.members)
-        if cs not in seen:
-            seen.add(cs)
-            cosets.append(cs)
-    cosets.sort(key=min)
-    point_of = {x: i for i, cs in enumerate(cosets) for x in cs}
-    reps = [min(cs) for cs in cosets]
-    rows = []
-    for g in G.elements():
-        rows.append(tuple(point_of[G.mul[r][g]] for r in reps))
-    return FiniteGSet(full_subgroup(G), len(cosets), tuple(rows), side="right")
+    reps, number = cosets(G, G.elements(), H, right=True)
+    rows = tuple(tuple(number[G.mul[r][g]] for r in reps)
+                 for g in G.elements())
+    return FiniteGSet(full_subgroup(G), len(reps), rows, side="right")
 
 
 def induce_hset(H: Subgroup, T: FiniteGSet) -> FiniteGSet:
@@ -666,51 +682,33 @@ def induce_hset(H: Subgroup, T: FiniteGSet) -> FiniteGSet:
     if not H.contains(K):
         raise GroupError("induction needs the acting subgroup inside H")
     G = H.group
-    coset_sets = []
-    seen = set()
-    for h in H.members:
-        cs = frozenset(G.mul[h][k] for k in K.members)
-        if cs not in seen:
-            seen.add(cs)
-            coset_sets.append(cs)
-    coset_sets.sort(key=min)
-    reps = [min(cs) for cs in coset_sets]
-    idx = {cs: i for i, cs in enumerate(coset_sets)}
-    m = len(reps)
-    size = m * T.size
-
+    reps, number = cosets(G, H.members, K)
+    m = T.size
     rows = []
     for h in H.members:
-        row = [0] * size
-        for i, r in enumerate(reps):
+        row: list[int] = []
+        for r in reps:
             hr = G.mul[h][r]
-            cs = next(c for c in coset_sets if hr in c)
-            j = idx[cs]
+            j = number[hr]
             # h r = reps[j] * k with k in K
             k = G.mul[G.inv[reps[j]]][hr]
-            for x in range(T.size):
-                row[i * T.size + x] = j * T.size + T.act_of(k)[x]
-        rows.append(tuple(row))
-    return FiniteGSet(H, size, tuple(rows))
+            row.extend(j * m + x for x in T.act_of(k))
+        rows.append(row)
+    return FiniteGSet(H, len(reps) * m, rows)
 
 
 # ---------------------------------------------------------------------------
 # isomorphism classification of H-sets
 
 
-def iso_key(T: FiniteGSet) -> tuple[tuple[int, ...], ...]:
-    """Invariant separating H-sets up to isomorphism.
-
-    Records, per orbit, the least member tuple among the H-conjugates of
-    the orbit stabilizer; two H-sets are isomorphic iff the sorted lists
-    of these orbit types match.
+def iso_key(T: FiniteGSet) -> tuple[int, ...]:
+    """Orbit type of an H-set: the sorted H-conjugacy class representatives
+    (least subgroup ids) of its orbit stabilizers.  Two H-sets are
+    isomorphic iff their keys match.
     """
-    H = T.subgroup
-    keys = []
-    for orbit, stab in T.orbit_stabilizers():
-        cls = {stab.conjugate(h).members for h in H.members}
-        keys.append(min(cls))
-    return tuple(sorted(keys))
+    lat = lattice_of(T.group)
+    h_id = lat.id_of(T.subgroup)
+    return tuple(sorted(lat.hclass_rep(h_id, k) for k in T.stabilizer_ids))
 
 
 def are_isomorphic(T1: FiniteGSet, T2: FiniteGSet) -> bool:
@@ -761,45 +759,38 @@ def hset_isomorphism(T1: FiniteGSet, T2: FiniteGSet) -> Optional[Perm]:
     return tuple(mapping)
 
 
-def hsets_up_to_iso(H: Subgroup, n: int) -> tuple[FiniteGSet, ...]:
-    """One representative per isomorphism class of n-point H-sets.
+def orbit_types(lat: SubgroupLattice, h_id: int, n: int
+                ) -> list[tuple[int, ...]]:
+    """The orbit types of n-point H-sets, one per isomorphism class.
 
-    Realized as disjoint unions of coset spaces H/K with K running over
-    H-conjugacy class representatives of subgroups of H.
+    Each is a sorted tuple of H-conjugacy class representatives K with the
+    indices |H:K| summing to n, i.e. the iso_key of the H-set.
     """
     if n < 0:
         raise GroupError("size must be nonnegative")
-    G = H.group
-    lat = lattice_of(G)
-    h_id = lat.id_of(H)
-    below = [i for i in lat.ids_below(h_id)]
-    class_reps = sorted({lat.hclass_rep(h_id, i) for i in below})
-    options = [(lat.subgroups[i], H.order // lat.subgroups[i].order)
-               for i in class_reps]
+    reps = sorted({lat.hclass_rep(h_id, i) for i in lat.ids_below(h_id)})
+    order = lat.subgroups[h_id].order
+    sizes = [order // lat.subgroups[k].order for k in reps]
+    out = []
 
-    results = []
-
-    def build(choice: list[int]) -> FiniteGSet:
-        parts = []
-        for count, (K, _) in zip(choice, options):
-            parts.extend(coset_hset(H, K) for _ in range(count))
-        out = trivial_hset(H, 0)
-        for part in parts:
-            out = out.disjoint_union(part)
-        return out
-
-    def rec(i: int, remaining: int, choice: list[int]):
-        if i == len(options):
+    def rec(i: int, remaining: int, key: tuple[int, ...]) -> None:
+        if i == len(reps):
             if remaining == 0:
-                results.append(build(choice))
+                out.append(key)
             return
-        _, size = options[i]
-        max_count = remaining // size
-        for count in range(max_count + 1):
-            rec(i + 1, remaining - count * size, choice + [count])
+        for count in range(remaining // sizes[i] + 1):
+            rec(i + 1, remaining - count * sizes[i], key + (reps[i],) * count)
 
-    rec(0, n, [])
-    return tuple(results)
+    rec(0, n, ())
+    return out
+
+
+def hsets_up_to_iso(H: Subgroup, n: int) -> tuple[FiniteGSet, ...]:
+    """One representative per isomorphism class of n-point H-sets: the
+    disjoint union of the coset spaces H/K of each orbit type."""
+    lat = lattice_of(H.group)
+    return tuple(hset_of_orbits(H, [lat.subgroups[k] for k in key])
+                 for key in orbit_types(lat, lat.id_of(H), n))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ from .groups import (
     GroupError,
     Subgroup,
     SubgroupLattice,
-    hsets_up_to_iso,
     graph_subgroup,
+    hsets_up_to_iso,
     is_subconjugate,
+    iso_key,
     lattice_of,
+    orbit_types,
 )
 from .transfer import TransferSystem, generate_pairs
 
@@ -41,27 +43,16 @@ class IndexingSystem:
         if H.group != self.group:
             raise GroupError("H is not a subgroup of the indexing system's group")
         h_id = lat.id_of(H)
-        for _, stab in T.orbit_stabilizers():
-            if not self.transfer.has(lat.id_of(stab), h_id):
-                return False
-        return True
-
-
-def indexing_of_transfer(t: TransferSystem) -> IndexingSystem:
-    return IndexingSystem(t)
-
-
-def transfer_of_indexing(ind: IndexingSystem) -> TransferSystem:
-    return ind.transfer
+        return all(self.transfer.has(k, h_id) for k in T.stabilizer_ids)
 
 
 @dataclass(frozen=True)
 class AdmissibleClass:
     """A finite set of admissible (H, T) pairs, T recorded by its orbit types.
 
-    Each entry is ``(H id, orbit multiset)`` where the multiset lists, per
-    orbit of T, the minimal subgroup id among the H-conjugates of the orbit
-    stabilizer.  That key identifies T up to isomorphism of H-sets.
+    Each entry is ``(H id, iso_key(T))``: per orbit of T, the minimal
+    subgroup id among the H-conjugates of the orbit stabilizer, sorted.
+    That key identifies T up to isomorphism of H-sets.
     """
 
     lattice: SubgroupLattice = field(compare=False, repr=False, hash=False)
@@ -74,10 +65,7 @@ class AdmissibleClass:
 
 def hset_entry(lat: SubgroupLattice, H: Subgroup, T: FiniteGSet
                ) -> tuple[int, tuple[int, ...]]:
-    h_id = lat.id_of(H)
-    key = tuple(sorted(lat.hclass_rep(h_id, lat.id_of(stab))
-                       for _, stab in T.orbit_stabilizers()))
-    return (h_id, key)
+    return (lat.id_of(H), iso_key(T))
 
 
 def admissible_sets_of_symseq(symseq, window: Optional[Iterable[int]] = None
@@ -131,15 +119,12 @@ def admissible_class_of_transfer(t: TransferSystem,
                                  ) -> AdmissibleClass:
     """The admissible H-sets of a transfer system up to a size bound.
 
-    Used by round-trip tests; the bound defaults to the group order.
+    Decided on orbit types alone; the bound defaults to the group order.
     """
     lat = t.lattice
     bound = max_size if max_size is not None else lat.group.order
-    ind = IndexingSystem(t)
-    entries = set()
-    for H in lat.subgroups:
-        for n in range(bound + 1):
-            for T in hsets_up_to_iso(H, n):
-                if ind.admits(H, T):
-                    entries.add(hset_entry(lat, H, T))
+    entries = {(h_id, key)
+               for h_id in range(lat.count) for n in range(bound + 1)
+               for key in orbit_types(lat, h_id, n)
+               if all(t.has(k, h_id) for k in key)}
     return AdmissibleClass(lat, frozenset(entries))

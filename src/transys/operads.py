@@ -28,6 +28,7 @@ from .groups import (
     full_subgroup,
     graph_conjugacy_label,
     graph_subgroup,
+    hset_of_orbits,
     identity_perm,
     invert,
     lattice_of,
@@ -97,8 +98,7 @@ def symseq_transfer(S: SymmetricSequence) -> TransferSystem:
     for orbits in S.levels.values():
         for orb in orbits:
             h_id = lat.id_of(orb.subgroup)
-            for _, stab in orb.hset.orbit_stabilizers():
-                pairs.add((lat.id_of(stab), h_id))
+            pairs.update((k_id, h_id) for k_id in orb.hset.stabilizer_ids)
     return generate_pairs(lat, pairs)
 
 
@@ -493,31 +493,35 @@ def symseq_to_json(S: SymmetricSequence) -> dict:
     for n, orbits in sorted(S.levels.items()):
         levels[str(n)] = [
             {"H": lat.id_of(orb.subgroup),
-             "orbits": sorted(lat.id_of(stab)
-                              for _, stab in orb.hset.orbit_stabilizers())}
+             "orbits": sorted(orb.hset.stabilizer_ids)}
             for orb in orbits
         ]
     return {"group": group_to_json(S.group), "levels": levels}
 
 
 def symseq_from_json(data, group: Optional[Group] = None) -> SymmetricSequence:
-    from .catalog import group_from_json
+    """Read the wire format; each orbit spec gives the id of H and, per
+    orbit, the id of the stabilizer of its least point."""
+    from .catalog import group_from_json, json_field
 
-    G = group if group is not None else group_from_json(data["group"])
+    G = group if group is not None else group_from_json(
+        json_field(data, "group", "symseq"))
     lat = lattice_of(G)
+
+    def subgroup(x) -> Subgroup:
+        if type(x) is not int or not 0 <= x < lat.count:
+            raise GroupError(f"subgroup id {x!r} is not an int in "
+                             f"range({lat.count})")
+        return lat.subgroups[x]
+
     levels: dict[int, list[GraphSubgroup]] = {}
-    for n_str, orbits in data["levels"].items():
+    for n_str, orbits in json_field(data, "levels", "symseq").items():
         n = int(n_str)
         out = []
         for spec in orbits:
-            H = lat.subgroups[spec["H"]]
-            T = None
-            for k_id in spec["orbits"]:
-                part = coset_hset(H, lat.subgroups[k_id])
-                T = part if T is None else T.disjoint_union(part)
-            if T is None:
-                from .groups import trivial_hset
-                T = trivial_hset(H, 0)
+            H = subgroup(json_field(spec, "H", "orbit spec"))
+            T = hset_of_orbits(H, map(subgroup,
+                                      json_field(spec, "orbits", "orbit spec")))
             if T.size != n:
                 raise GroupError(
                     f"orbit sizes sum to {T.size}, level says {n}")

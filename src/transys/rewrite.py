@@ -22,12 +22,12 @@ from .groups import (
     GroupError,
     Perm,
     Subgroup,
-    are_isomorphic,
     compose,
-    coset_hset,
+    cosets,
     graph_subgroup,
     identity_perm,
     invert,
+    iso_key,
     lattice_of,
 )
 
@@ -633,32 +633,17 @@ def orbit_symbols(orb: GraphSubgroup, factor: str, start: int
     g . f_aH = f_gaH . sigma_T(b^-1 g a) with b the coset representative.
     """
     G = orb.group
-    H = orb.subgroup
-    cosets = []
-    seen = set()
-    for a in G.elements():
-        cs = frozenset(G.mul[a][h] for h in H.members)
-        if cs not in seen:
-            seen.add(cs)
-            cosets.append(cs)
-    cosets.sort(key=min)
-    reps = [min(cs) for cs in cosets]
-    rep_of = {}
-    for cs in cosets:
-        for a in cs:
-            rep_of[a] = min(cs)
-    symbols = {r: OpSymbol(factor, start + i, orb.arity)
-               for i, r in enumerate(reps)}
+    reps, number = cosets(G, G.elements(), orb.subgroup)
+    symbols = [OpSymbol(factor, start + i, orb.arity) for i in range(len(reps))]
     action = {}
-    for r in reps:
-        sym = symbols[r]
+    for sym, r in zip(symbols, reps):
         for g in G.elements():
             ga = G.mul[g][r]
-            b = rep_of[ga]
-            h = G.mul[G.inv[b]][ga]
-            action[(sym, g)] = (symbols[b], orb.hset.act_of(h))
-    base = {orb: symbols[rep_of[0]]}
-    return list(symbols.values()), action, base
+            j = number[ga]
+            h = G.mul[G.inv[reps[j]]][ga]
+            action[(sym, g)] = (symbols[j], orb.hset.act_of(h))
+    # the identity coset comes first, since 0 is the least element
+    return symbols, action, {orb: symbols[0]}
 
 
 def pool_from_free_models(S, T) -> tuple[SymbolPool, dict, dict]:
@@ -816,10 +801,10 @@ class WitnessTable:
                 sym = base[orb]
                 t0 = App(sym, tuple(Var(i + 1) for i in range(n)))
                 w0 = self._checked(self.lat.id_of(orb.subgroup), t0)
-                for orbit, stab in orb.hset.orbit_stabilizers():
+                for orbit, k_id in zip(orb.hset.orbits(),
+                                       orb.hset.stabilizer_ids):
                     plugged = _plug_orbit(self.pool, w0, orbit, self.filler)
-                    self._insert(self.lat.id_of(stab),
-                                 self.lat.id_of(orb.subgroup), plugged)
+                    self._insert(k_id, self.lat.id_of(orb.subgroup), plugged)
         self._saturate()
         missing = {p for p in self.transfer.pairs()} - set(self.witnesses)
         if missing:
@@ -839,8 +824,7 @@ class WitnessTable:
             return False
         w = self._checked(h_id, term)
         # sanity: the structure must be the transitive set on H/K
-        expected = coset_hset(self.lat.subgroups[h_id], self.lat.subgroups[k_id])
-        if not are_isomorphic(w.structure, expected):
+        if iso_key(w.structure) != (self.lat.hclass_rep(h_id, k_id),):
             raise RewriteError(
                 f"witness structure mismatch for pair ({k_id},{h_id})")
         self.witnesses[(k_id, h_id)] = w

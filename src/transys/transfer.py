@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Optional, Sequence
 
-from .catalog import group_from_json, group_to_json
+from .catalog import group_from_json, group_to_json, json_field
 from .groups import Group, SubgroupLattice, lattice_of
 
 Rel = tuple[tuple[bool, ...], ...]
@@ -398,10 +398,19 @@ def ts_to_json(t: TransferSystem) -> dict:
     return {"group": group_to_json(t.group), "pairs": [list(p) for p in t.pairs()]}
 
 
-def ts_from_json(data, group: Optional[Group] = None) -> TransferSystem:
-    G = group if group is not None else group_from_json(data["group"])
+def rel_from_json(data, group: Optional[Group] = None
+                  ) -> tuple[SubgroupLattice, Rel]:
+    """A {"group", "pairs"} object as its lattice and raw relation matrix,
+    unvalidated; ``group`` overrides the file's group."""
+    G = group if group is not None else group_from_json(
+        json_field(data, "group", "transfer system"))
     lat = lattice_of(G)
-    return validate(lat, rel_from_pairs(lat.count, data["pairs"]))
+    return lat, rel_from_pairs(lat.count,
+                               json_field(data, "pairs", "transfer system"))
+
+
+def ts_from_json(data, group: Optional[Group] = None) -> TransferSystem:
+    return validate(*rel_from_json(data, group))
 
 
 def hasse_dot(systems: Sequence[TransferSystem],

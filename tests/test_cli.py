@@ -95,6 +95,43 @@ def test_ts_out_of_range_pair_id_rejected(tmp_path, capsys):
         assert code == 1 and "subgroup id" in err
 
 
+def _missing_key(tmp_path, capsys, payload, *argv):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and out == "" and "Traceback" not in err
+    return err
+
+
+def test_ts_file_without_pairs_rejected(tmp_path, capsys):
+    # used to escape as a KeyError traceback
+    for action in ("validate", "generate", "cogenerate"):
+        err = _missing_key(tmp_path, capsys, {"group": "C4"}, "ts", action)
+        assert "missing the key 'pairs'" in err
+
+
+def test_ts_file_without_group_rejected(tmp_path, capsys):
+    err = _missing_key(tmp_path, capsys, {"pairs": []}, "ts", "validate")
+    assert "missing the key 'group'" in err
+    err = _missing_key(tmp_path, capsys, {"group": {"name": "G"}, "pairs": []},
+                       "ts", "validate")
+    assert "missing the key 'mul'" in err
+
+
+def test_ts_file_not_an_object_rejected(tmp_path, capsys):
+    err = _missing_key(tmp_path, capsys, [], "ts", "validate")
+    assert "must be a JSON object" in err and "'group'" in err
+
+
+def test_hom_file_without_map_rejected(tmp_path, capsys):
+    c2 = tmp_path / "c2.json"
+    c2.write_text(json.dumps({"group": "C2", "pairs": []}))
+    err = _missing_key(tmp_path, capsys, {"source": "C2", "target": "C4"},
+                       "functor", "apply", "--kind", "fL", "--input", str(c2),
+                       "--hom-file")
+    assert "missing the key 'map'" in err
+
+
 def test_functor_apply(tmp_path, capsys):
     one = tmp_path / "one.json"
     one.write_text(json.dumps({"group": {"kind": "cyclic", "n": 1},

@@ -63,12 +63,39 @@ def test_free_model_roundtrip(name):
 
 def test_symseq_json_roundtrip():
     G = group_by_name("S3")
-    for t in enumerate_transfer_systems(G)[-3:]:
+    for t in enumerate_transfer_systems(G):
         S = free_model(t)
         back = symseq_from_json(symseq_to_json(S))
+        assert symseq_to_json(back) == symseq_to_json(S)
         assert symseq_transfer(back).rel == t.rel
         assert {n: len(v) for n, v in back.levels.items()} \
             == {n: len(v) for n, v in S.levels.items()}
+
+
+def _c4_level_two(H, orbits):
+    return {"group": "C4", "levels": {"2": [{"H": H, "orbits": orbits}]}}
+
+
+def test_symseq_from_json_rejects_negative_ids():
+    # used to read as H = 2, K = 1 through negative indexing
+    with pytest.raises(GroupError, match="subgroup id -1"):
+        symseq_from_json(_c4_level_two(-1, [-2]))
+    with pytest.raises(GroupError, match="subgroup id -2"):
+        symseq_from_json(_c4_level_two(2, [-2]))
+    assert symseq_to_json(symseq_from_json(_c4_level_two(2, [1])))[
+        "levels"] == {"2": [{"H": 2, "orbits": [1]}]}
+
+
+def test_symseq_from_json_rejects_string_ids():
+    with pytest.raises(GroupError, match="subgroup id '2'"):
+        symseq_from_json(_c4_level_two("2", [1]))
+
+
+def test_symseq_from_json_rejects_float_ids():
+    with pytest.raises(GroupError, match="subgroup id 1.0"):
+        symseq_from_json(_c4_level_two(2, [1.0]))
+    with pytest.raises(GroupError, match="subgroup id 3"):
+        symseq_from_json(_c4_level_two(2, [3]))
 
 
 def test_coind_criterion_examples():
