@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from typing import Optional
 
 from .groups import (
     Group,
@@ -56,15 +57,20 @@ def group_to_json(G: Group) -> dict:
     return {"name": G.name, "order": G.order, "mul": [list(row) for row in G.mul]}
 
 
-def json_field(data, key: str, what: str):
+def json_field(data, key: str, what: str, kind: Optional[type] = None):
     """``data[key]`` of a wire-format object; a GroupError naming the key
-    when the key is missing or the payload is not an object."""
+    when the key is missing, the payload is not an object, or the value is
+    not of the given type."""
     if not isinstance(data, dict):
         raise GroupError(f"{what} must be a JSON object with key {key!r}, "
                          f"got {type(data).__name__}")
     if key not in data:
         raise GroupError(f"{what} is missing the key {key!r}")
-    return data[key]
+    value = data[key]
+    if kind is not None and not isinstance(value, kind):
+        raise GroupError(f"{what} key {key!r} must be a {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
 
 
 def group_from_json(data) -> Group:
@@ -74,9 +80,12 @@ def group_from_json(data) -> Group:
         kind = data["kind"]
         if kind == "direct_product":
             factors = tuple(group_from_json(f)
-                            for f in json_field(data, "factors", "group"))
+                            for f in json_field(data, "factors", "group", list))
             return make_group(kind, factors=factors)
-        return make_group(kind, data.get("n"))
+        n = data.get("n")
+        if n is not None and type(n) is not int:
+            raise GroupError(f"group key 'n' must be an int, got {n!r}")
+        return make_group(kind, n)
     return Group(tuple(tuple(row) for row in json_field(data, "mul", "group")),
                  name=data.get("name", "G"))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 from . import suites
 from .catalog import (
@@ -41,7 +42,9 @@ BUDGET_HELP = ("closures each transfer-system enumeration may compute "
                "(default %(default)s); exit 2 once spent")
 
 
-def _read_json(path: str):
+def _read_json(path: Optional[str], arg: str = "input"):
+    if path is None:
+        raise ValueError(f"missing the JSON file argument {arg!r}")
     if path == "-":
         return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
@@ -103,7 +106,7 @@ def cmd_ts(args) -> int:
         return PASS
     if args.action in ("meet", "join"):
         a = ts_from_json(_read_json(args.input))
-        b = ts_from_json(_read_json(args.other))
+        b = ts_from_json(_read_json(args.other, "other"))
         op = meet if args.action == "meet" else join
         _emit(ts_to_json(op(a, b)))
         return PASS

@@ -515,13 +515,16 @@ def symseq_from_json(data, group: Optional[Group] = None) -> SymmetricSequence:
         return lat.subgroups[x]
 
     levels: dict[int, list[GraphSubgroup]] = {}
-    for n_str, orbits in json_field(data, "levels", "symseq").items():
+    for n_str, orbits in json_field(data, "levels", "symseq", dict).items():
+        if not isinstance(orbits, list):
+            raise GroupError(f"symseq level {n_str!r} must be a list of "
+                             f"orbit specs, got {type(orbits).__name__}")
         n = int(n_str)
         out = []
         for spec in orbits:
             H = subgroup(json_field(spec, "H", "orbit spec"))
-            T = hset_of_orbits(H, map(subgroup,
-                                      json_field(spec, "orbits", "orbit spec")))
+            T = hset_of_orbits(H, map(subgroup, json_field(
+                spec, "orbits", "orbit spec", list)))
             if T.size != n:
                 raise GroupError(
                     f"orbit sizes sum to {T.size}, level says {n}")

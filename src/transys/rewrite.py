@@ -3,9 +3,15 @@
 Terms are formal composites of orbit-representative symbols drawn from two
 factors X and Y.  Two directed reduction systems are implemented: the
 coproduct system (identity elimination and same-factor composite folding)
-and the tensor system (interchange, constant collapse), both strictly
-decreasing an explicit complexity measure, so every reduction terminates
-within a known step budget.  Confluence, equivariance, and congruence with
+and the tensor system (interchange, constant collapse).  Every rule strictly
+lowers an explicit complexity measure, so every reduction terminates within
+a known step budget.
+
+One post-order walk (children before their parent, left before right) lists
+the redexes of a term; its first hit is the leftmost-innermost redex, which
+the default normalizer contracts.  Because the systems terminate, local
+confluence is checked by comparing the normal forms of the two reducts
+(Newman's lemma).  Confluence, equivariance, and congruence with
 composition are checked on fuzzed terms rather than assumed.
 """
 
@@ -24,7 +30,6 @@ from .groups import (
     Subgroup,
     compose,
     cosets,
-    graph_subgroup,
     identity_perm,
     invert,
     iso_key,
@@ -135,12 +140,6 @@ class SymbolPool:
 # term basics
 
 
-def var_count(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return sum(var_count(c) for c in t.children)
-
-
 def var_indices(t: Term) -> list[int]:
     if isinstance(t, Var):
         return [t.index]
@@ -157,11 +156,13 @@ def symbol_count(t: Term) -> int:
 
 
 def is_operadic(t: Term) -> bool:
-    return sorted(var_indices(t)) == list(range(1, var_count(t) + 1))
+    return sorted(var_indices(t)) == list(range(1, term_arity(t) + 1))
 
 
 def term_arity(t: Term) -> int:
-    return var_count(t)
+    if isinstance(t, Var):
+        return 1
+    return sum(term_arity(c) for c in t.children)
 
 
 def shift_vars(t: Term, k: int) -> Term:
@@ -287,12 +288,6 @@ class Step:
                 "after": format_term(self.after)}
 
 
-def subterm_at(t: Term, path: Path) -> Term:
-    for i in path:
-        t = t.children[i]
-    return t
-
-
 def replace_at(t: Term, path: Path, new: Term) -> Term:
     if not path:
         return new
@@ -365,21 +360,26 @@ def _local_tensor(pool: SymbolPool, t: Term) -> list[tuple[Term, str]]:
     return out
 
 
+def _redexes(pool: SymbolPool, t: Term, mode: RewriteMode):
+    """Every one-step reduct of t as (reduct, rule, path), children before
+    their parent and left before right, so the first is at the
+    leftmost-innermost redex."""
+    local = _local_coproduct if mode.kind == "coproduct" else _local_tensor
+
+    def walk(s: Term, path: Path):
+        if isinstance(s, App):
+            for i, c in enumerate(s.children):
+                yield from walk(c, path + (i,))
+        for reduct, rule in local(pool, s):
+            yield replace_at(t, path, reduct), rule, path
+
+    return walk(t, ())
+
+
 def one_step_reducts(pool: SymbolPool, t: Term, mode: RewriteMode
                      ) -> list[tuple[Term, str, Path]]:
     """Every legal single substitution at every position, exactly once."""
-    local = _local_coproduct if mode.kind == "coproduct" else _local_tensor
-    out = []
-
-    def walk(s: Term, path: Path) -> None:
-        for reduct, rule in local(pool, s):
-            out.append((replace_at(t, path, reduct), rule, path))
-        if isinstance(s, App):
-            for i, c in enumerate(s.children):
-                walk(c, path + (i,))
-
-    walk(t, ())
-    return out
+    return list(_redexes(pool, t, mode))
 
 
 def complexity(pool: SymbolPool, t: Term, mode: RewriteMode) -> int:
@@ -401,17 +401,7 @@ def complexity(pool: SymbolPool, t: Term, mode: RewriteMode) -> int:
 
 
 def is_reduced(pool: SymbolPool, t: Term, mode: RewriteMode) -> bool:
-    return not one_step_reducts(pool, t, mode)
-
-
-def _pick_leftmost_innermost(reducts) -> int:
-    paths = [r[2] for r in reducts]
-    best = None
-    for i, p in enumerate(paths):
-        inner = not any(q != p and q[:len(p)] == p for q in paths)
-        if inner and (best is None or p < paths[best]):
-            best = i
-    return best
+    return next(_redexes(pool, t, mode), None) is None
 
 
 def reduce_term(pool: SymbolPool, t: Term, mode: RewriteMode,
@@ -419,24 +409,25 @@ def reduce_term(pool: SymbolPool, t: Term, mode: RewriteMode,
                 seed: Optional[int] = None) -> tuple[Term, list[Step]]:
     """Reduce to a normal form; the step budget is the initial complexity,
     which suffices because every step strictly decreases it."""
-    budget = complexity(pool, t, mode)
+    budget = weight = complexity(pool, t, mode)
     rng = random.Random(seed) if strategy == "random" else None
     trace: list[Step] = []
     current = t
     for _ in range(budget + 1):
-        reducts = one_step_reducts(pool, current, mode)
-        if not reducts:
-            return current, trace
         if rng is None:
-            idx = _pick_leftmost_innermost(reducts)
+            hit = next(_redexes(pool, current, mode), None)
         else:
-            idx = rng.randrange(len(reducts))
-        after, rule, path = reducts[idx]
-        if complexity(pool, after, mode) >= complexity(pool, current, mode):
+            reducts = one_step_reducts(pool, current, mode)
+            hit = reducts[rng.randrange(len(reducts))] if reducts else None
+        if hit is None:
+            return current, trace
+        after, rule, path = hit
+        after_weight = complexity(pool, after, mode)
+        if after_weight >= weight:
             raise RewriteError(
                 f"rule {rule} failed to decrease complexity at {path}")
         trace.append(Step(rule, path, current, after))
-        current = after
+        current, weight = after, after_weight
     raise RewriteError("step budget exceeded; descent is broken")
 
 
@@ -515,43 +506,37 @@ class CriteriaReport:
                 "criteria": [r.to_json() for r in self.reports]}
 
 
-def _descendants(pool: SymbolPool, t: Term, mode: RewriteMode,
-                 cache: dict) -> frozenset:
-    if t in cache:
-        return cache[t]
-    seen = {t}
-    for reduct, _, _ in one_step_reducts(pool, t, mode):
-        seen |= _descendants(pool, reduct, mode, cache)
-    out = frozenset(seen)
-    cache[t] = out
-    return out
-
-
 def check_criteria(pool: SymbolPool, mode: RewriteMode, count: int = 200,
                    seed: int = 0, max_symbols: int = 8,
                    symbols: Optional[Sequence[OpSymbol]] = None
                    ) -> CriteriaReport:
     """Fuzzed verification of the four rewriting criteria.
 
-    (i) every pair of one-step reducts rejoins; (ii) reduction commutes
-    with the group and symmetric actions; (iii)/(iv) reduction is a
-    congruence for composition on the outer and inner argument.
+    (i) every pair of one-step reducts has one normal form, which for a
+    terminating system also proves confluence (Newman's lemma);
+    (ii) reduction commutes with the group and symmetric actions;
+    (iii)/(iv) reduction is a congruence for composition on the outer and
+    inner argument.
     """
     rng = random.Random(seed)
     joins = CriterionReport("local joinability")
     equiv = CriterionReport("equivariance of reduction")
     outer = CriterionReport("congruence in the outer slot")
     inner = CriterionReport("congruence in the inner slots")
-    cache: dict = {}
+    normal_forms: dict = {}
+
+    def normal(s: Term) -> Term:
+        if s not in normal_forms:
+            normal_forms[s] = reduce_term(pool, s, mode)[0]
+        return normal_forms[s]
+
     for _ in range(count):
         t = fuzz_term(pool, rng, max_symbols, symbols)
         reducts = one_step_reducts(pool, t, mode)
         for a in range(len(reducts)):
             for b in range(a + 1, len(reducts)):
                 joins.checked += 1
-                da = _descendants(pool, reducts[a][0], mode, cache)
-                db = _descendants(pool, reducts[b][0], mode, cache)
-                if not (da & db):
+                if normal(reducts[a][0]) != normal(reducts[b][0]):
                     joins.counterexample = joins.counterexample or {
                         "term": format_term(t),
                         "left": format_term(reducts[a][0]),
@@ -561,7 +546,7 @@ def check_criteria(pool: SymbolPool, mode: RewriteMode, count: int = 200,
         sigma = random_perm(rng, n)
         moved = act_g(pool, g, act_sigma(t, sigma))
         lhs, _ = reduce_term(pool, moved, mode)
-        nf, _ = reduce_term(pool, t, mode)
+        nf = normal(t)
         rhs = act_g(pool, g, act_sigma(nf, sigma))
         equiv.checked += 1
         if lhs != rhs:
@@ -579,7 +564,7 @@ def check_criteria(pool: SymbolPool, mode: RewriteMode, count: int = 200,
                 "term": format_term(t), "whole": format_term(nf_whole),
                 "outer-first": format_term(via_outer)}
         inner.checked += 1
-        reduced_args = [reduce_term(pool, s, mode)[0] for s in args]
+        reduced_args = [normal(s) for s in args]
         via_inner, _ = reduce_term(pool, gamma(t, reduced_args), mode)
         if nf_whole != via_inner:
             inner.counterexample = inner.counterexample or {
@@ -735,10 +720,6 @@ class Witness:
     term: Term
     subgroup: Subgroup
     structure: FiniteGSet
-
-    @property
-    def graph(self) -> GraphSubgroup:
-        return graph_subgroup(self.subgroup.group, self.subgroup, self.structure)
 
 
 def _plug_orbit(pool: SymbolPool, w: Witness, positions: Sequence[int],

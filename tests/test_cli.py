@@ -1,8 +1,13 @@
 """Command-line surface tests: wire formats, exit codes, named suites."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from transys.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -67,6 +72,30 @@ def test_ts_validate_and_ops(tmp_path, capsys):
 
     code, out, _ = run(capsys, "ts", "cogenerate", str(a))
     assert code == 0 and json.loads(out)["pairs"] == [[0, 1]]
+
+
+def test_ts_meet_join_without_second_file(tmp_path, capsys):
+    # used to escape as a TypeError traceback from open(None)
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"group": "C4", "pairs": [[0, 1]]}))
+    for action in ("meet", "join"):
+        code, out, err = run(capsys, "ts", action, str(a))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "missing the JSON file argument 'other'" in err
+
+
+def test_ts_catalog_group_values_of_the_wrong_type_rejected(tmp_path, capsys):
+    # "4" and 4.0 used to escape as TypeError tracebacks, and true built
+    # a one-element group named CTrue
+    for n in ("4", 4.0, True):
+        err = _missing_key(tmp_path, capsys,
+                           {"group": {"kind": "cyclic", "n": n}, "pairs": []},
+                           "ts", "validate")
+        assert "group key 'n' must be an int" in err
+    err = _missing_key(tmp_path, capsys,
+                       {"group": {"kind": "direct_product", "factors": 5},
+                        "pairs": []}, "ts", "validate")
+    assert "group key 'factors' must be a list" in err
 
 
 def test_ts_negative_pair_id_rejected(tmp_path, capsys):
@@ -194,6 +223,13 @@ def test_verify_suites(capsys):
 
     code, out, _ = run(capsys, "verify", "thmB-coind", "--group", "C4")
     assert code == 0 and json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("mode", ["tensor", "coproduct"])
+def test_verify_rewrite_criteria_golden(mode, capsys):
+    code, out, _ = run(capsys, "verify", "rewrite-criteria", "--mode", mode)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"rewrite_criteria_{mode}.json").read_bytes()
 
 
 def test_verify_budget_exit_code(capsys):

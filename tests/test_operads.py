@@ -98,6 +98,24 @@ def test_symseq_from_json_rejects_float_ids():
         symseq_from_json(_c4_level_two(2, [3]))
 
 
+def test_symseq_from_json_rejects_levels_not_an_object():
+    # used to escape as an AttributeError traceback
+    with pytest.raises(GroupError, match="'levels' must be a dict"):
+        symseq_from_json({"group": "C4", "levels": []})
+
+
+def test_symseq_from_json_rejects_level_not_a_list():
+    # used to escape as a TypeError traceback
+    with pytest.raises(GroupError, match="level '2' must be a list"):
+        symseq_from_json({"group": "C4", "levels": {"2": 5}})
+
+
+def test_symseq_from_json_rejects_orbits_not_a_list():
+    # used to escape as a TypeError traceback
+    with pytest.raises(GroupError, match="'orbits' must be a list"):
+        symseq_from_json(_c4_level_two(2, 1))
+
+
 def test_coind_criterion_examples():
     C4 = group_by_name("C4")
     full = full_subgroup(C4)
