@@ -90,14 +90,6 @@ def group_from_json(data) -> Group:
                  name=data.get("name", "G"))
 
 
-def hom_to_json(f: Homomorphism) -> dict:
-    return {
-        "source": group_to_json(f.source),
-        "target": group_to_json(f.target),
-        "map": list(f.map),
-    }
-
-
 def hom_from_json(data) -> Homomorphism:
     return Homomorphism(group_from_json(json_field(data, "source", "hom")),
                         group_from_json(json_field(data, "target", "hom")),

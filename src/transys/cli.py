@@ -19,7 +19,7 @@ from .catalog import (
     group_to_json,
     hom_from_json,
 )
-from .groups import GroupError, all_subgroups
+from .groups import Group, GroupError, all_subgroups
 from .transfer import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -51,6 +51,12 @@ def _read_json(path: Optional[str], arg: str = "input"):
         return json.load(fh)
 
 
+def _group_arg(args) -> Group:
+    if args.group is None:
+        raise ValueError(f"{args.command} {args.action} needs --group")
+    return group_by_name(args.group)
+
+
 def _emit(data) -> None:
     json.dump(data, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -62,7 +68,7 @@ def cmd_group(args) -> int:
                             "Dn (order 2n <= 24)", "K4", "AxB products"],
                "homs": sorted(catalog_homs())})
         return PASS
-    G = group_by_name(args.group)
+    G = _group_arg(args)
     if args.action == "show":
         _emit(group_to_json(G))
         return PASS
@@ -78,7 +84,7 @@ def cmd_group(args) -> int:
 
 def cmd_ts(args) -> int:
     if args.action == "enumerate":
-        G = group_by_name(args.group)
+        G = _group_arg(args)
         systems = enumerate_transfer_systems(G, args.budget)
         if args.dot:
             sys.stdout.write(hasse_dot(systems) + "\n")
@@ -194,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--count", type=int, default=500,
                        help="fuzz count for rewrite-criteria")
     p_ver.add_argument("--window", type=int, default=12,
-                       help="fuzz term-size window for rewrite-criteria")
+                       help="fuzz term-size window (max_symbols) for "
+                            "rewrite-criteria")
     p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help=BUDGET_HELP)
     p_ver.set_defaults(run=cmd_verify)

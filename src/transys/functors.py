@@ -45,7 +45,7 @@ def preimage_L(f: Homomorphism, t: TransferSystem) -> TransferSystem:
 def _pulled_back(lat, ids: tuple[int, ...], t: TransferSystem):
     """The pairs K <= H of lat whose images under ``ids`` are related in t."""
     return [(i, j) for i, row in enumerate(lat.leq)
-            for j, below in enumerate(row) if below and t.rel[ids[i]][ids[j]]]
+            for j, below in enumerate(row) if below and t.has(ids[i], ids[j])]
 
 
 def image_R(f: Homomorphism, t: TransferSystem) -> TransferSystem:
@@ -174,7 +174,7 @@ def verify_functoriality(h: Homomorphism, k: Homomorphism,
         checked = 0
         for t in systems:
             checked += 1
-            if functor(t).rel != direct(t).rel:
+            if functor(t) != direct(t):
                 counter = {"t": t.pairs(),
                            "composite": functor(t).pairs(),
                            "direct": direct(t).pairs()}
@@ -199,7 +199,7 @@ def check_pointwise_order(f: Homomorphism,
                              {"t": t.pairs(), "left": left.pairs(),
                               "right": right.pairs()})
         if f.is_injective:
-            if left.rel != right.rel:
+            if left != right:
                 return LawReport("injective collapse", checked,
                                  {"t": t.pairs(), "left": left.pairs(),
                                   "right": right.pairs()})

@@ -92,12 +92,6 @@ class Group:
             out[a] = self.mul[a].index(0)
         return tuple(out)
 
-    def product(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def conj(self, g: int, a: int) -> int:
         """g a g^-1."""
         return self.mul[self.mul[g][a]][self.inv[g]]
@@ -352,9 +346,6 @@ class SubgroupLattice:
 
     def id_of_members(self, members: Iterable[int]) -> int:
         return self.index[tuple(sorted(set(members)))]
-
-    def subgroup(self, i: int) -> Subgroup:
-        return self.subgroups[i]
 
     def ids_below(self, j: int) -> list[int]:
         return [i for i in range(self.count) if self.leq[i][j]]

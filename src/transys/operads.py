@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -73,9 +74,6 @@ class SymmetricSequence:
             levels[n] = levels.get(n, ()) + orbits
         return SymmetricSequence(self.group, levels)
 
-    def orbit_count(self) -> int:
-        return sum(len(orbits) for orbits in self.levels.values())
-
 
 def free_model(t: TransferSystem) -> SymmetricSequence:
     """Free marked presentation of a transfer system: one free orbit
@@ -108,7 +106,7 @@ def coproduct_join_check(S: SymmetricSequence, T: SymmetricSequence) -> LawRepor
     combined = symseq_transfer(S.union(T))
     expected = join(symseq_transfer(S), symseq_transfer(T))
     report = LawReport("transfer(S u T) = transfer(S) v transfer(T)", 1)
-    if combined.rel != expected.rel:
+    if combined != expected:
         report.counterexample = {"combined": combined.pairs(),
                                  "join": expected.pairs()}
     return report
@@ -213,7 +211,7 @@ def coind_as_product_check(X: FiniteGSet, Y: FiniteGSet) -> LawReport:
     t_xy = op_xy.transfer()
     expected = meet(op_x.transfer(), op_y.transfer())
     report = LawReport("transfer(Set(X u Y, As)) = meet", checked)
-    if t_xy.rel != expected.rel:
+    if t_xy != expected:
         report.counterexample = {"combined": t_xy.pairs(),
                                  "meet": expected.pairs()}
     return report
@@ -438,7 +436,7 @@ def theoremB_res_check(f: Homomorphism,
         restricted = restrict_symseq_predicted(f, free_model(t))
         got = symseq_transfer(restricted)
         want = preimage_L(f, t)
-        if got.rel != want.rel:
+        if got != want:
             return LawReport("transfer(res of free model) = finvL", checked,
                              {"t": t.pairs(), "got": got.pairs(),
                               "want": want.pairs()})
@@ -454,7 +452,7 @@ def theoremB_ind_check(m: Homomorphism,
         induced = induce_symseq(m, free_model(t))
         got = symseq_transfer(induced)
         want = image_L(m, t)
-        if got.rel != want.rel:
+        if got != want:
             return LawReport("transfer(ind of free model) = fL", checked,
                              {"t": t.pairs(), "got": got.pairs(),
                               "want": want.pairs()})
@@ -474,7 +472,7 @@ def theoremB_coind_check(G: Group) -> LawReport:
         got = op.transfer()
         incl = inclusion_hom(H)
         want = image_R(incl, discrete(incl.source))
-        if got.rel != want.rel:
+        if got != want:
             return LawReport("transfer(Set(H\\G, As)) = iR(discrete)", checked,
                              {"H": list(H.members), "got": got.pairs(),
                               "want": want.pairs()})
@@ -519,6 +517,9 @@ def symseq_from_json(data, group: Optional[Group] = None) -> SymmetricSequence:
         if not isinstance(orbits, list):
             raise GroupError(f"symseq level {n_str!r} must be a list of "
                              f"orbit specs, got {type(orbits).__name__}")
+        if not re.fullmatch(r"0|[1-9][0-9]*", n_str):
+            raise GroupError(f"symseq level key {n_str!r} is not a "
+                             "non-negative int in decimal form")
         n = int(n_str)
         out = []
         for spec in orbits:

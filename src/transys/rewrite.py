@@ -518,6 +518,10 @@ def check_criteria(pool: SymbolPool, mode: RewriteMode, count: int = 200,
     (iii)/(iv) reduction is a congruence for composition on the outer and
     inner argument.
     """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if max_symbols < 1:
+        raise ValueError(f"max_symbols must be at least 1, got {max_symbols}")
     rng = random.Random(seed)
     joins = CriterionReport("local joinability")
     equiv = CriterionReport("equivariance of reduction")

@@ -1,11 +1,10 @@
 """Transfer systems on a fixed finite group.
 
-A relation on the subgroup list is kept as a dense boolean matrix indexed
-by subgroup ids (the canonical `all_subgroups` order).  A transfer system
-is a validated relation: a partial order refining inclusion that is closed
-under conjugation and under restriction.  Closure, cogeneration, joins,
-enumeration and Hasse covers run on a bitset form of the same relations,
-built once per subgroup lattice (`_Core`).
+A transfer system is a mask over the pairs K < H of subgroup ids: pair
+(K, H) is bit ``K * n + H``, its place in the row-major relation matrix.
+Every lattice operation runs on masks (`_Core`, built once per lattice).
+A boolean matrix is only the input form, which `validate` scans for exact
+witnesses; `TransferSystem.rel` and `flat` are views derived from the mask.
 """
 
 from __future__ import annotations
@@ -51,13 +50,10 @@ class TransferSystemError(ValueError):
         self.violation = violation
 
 
-def rel_from_pairs(count: int, pairs: Iterable[tuple[int, int]],
-                   reflexive: bool = True) -> Rel:
-    """Relation matrix of a pair list; ids must be ints in range(count)."""
-    m = [[False] * count for _ in range(count)]
-    if reflexive:
-        for i in range(count):
-            m[i][i] = True
+def rel_from_pairs(count: int, pairs: Iterable[tuple[int, int]]) -> Rel:
+    """Reflexive relation matrix of a pair list; ids must be ints in
+    range(count)."""
+    m = [[i == j for j in range(count)] for i in range(count)]
     for pair in pairs:
         try:
             i, j = pair
@@ -75,10 +71,6 @@ def rel_from_pairs(count: int, pairs: Iterable[tuple[int, int]],
 def rel_pairs(rel: Rel, nontrivial: bool = True) -> list[tuple[int, int]]:
     return [(i, j) for i, row in enumerate(rel) for j, v in enumerate(row)
             if v and (i != j or not nontrivial)]
-
-
-def rel_leq(a: Rel, b: Rel) -> bool:
-    return all(not av or bv for ra, rb in zip(a, b) for av, bv in zip(ra, rb))
 
 
 def _check_refinement(lat: SubgroupLattice, rel: Rel) -> Optional[Violation]:
@@ -119,21 +111,34 @@ def _check_axioms(lat: SubgroupLattice, rel: Rel) -> Optional[Violation]:
 
 @dataclass(frozen=True)
 class TransferSystem:
-    """A validated transfer system; equality and hashing use the matrix."""
+    """A validated transfer system, stored as its mask of pairs K < H
+    (bit ``K * n + H``); equality and hashing use the group and the mask."""
 
     group: Group
-    rel: Rel
+    mask: int
     lattice: SubgroupLattice = field(compare=False, repr=False, hash=False)
 
     def pairs(self) -> list[tuple[int, int]]:
-        return rel_pairs(self.rel)
+        """The pairs K < H, in row-major order."""
+        n, mask, out = self.lattice.count, self.mask, []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out.append(divmod(low.bit_length() - 1, n))
+        return out
 
     def has(self, i: int, j: int) -> bool:
-        return self.rel[i][j]
+        return i == j or bool(self.mask >> (i * self.lattice.count + j) & 1)
 
     def refines(self, other: "TransferSystem") -> bool:
         _require_same_group(self, other)
-        return rel_leq(self.rel, other.rel)
+        return not self.mask & ~other.mask
+
+    @property
+    def rel(self) -> Rel:
+        """The reflexive relation matrix, derived from the mask."""
+        n = range(self.lattice.count)
+        return tuple(tuple(self.has(i, j) for j in n) for i in n)
 
     def flat(self) -> tuple[bool, ...]:
         return tuple(v for row in self.rel for v in row)
@@ -148,6 +153,19 @@ def _require_same_group(s: TransferSystem, t: TransferSystem) -> None:
             Violation("refinement", {"reason": "group mismatch"}))
 
 
+def _mask_of_pairs(lat: SubgroupLattice,
+                   pairs: Iterable[tuple[int, int]]) -> int:
+    """Raises a refinement violation at the first pair not K <= H."""
+    m = 0
+    for i, j in pairs:
+        if not lat.leq[i][j]:
+            raise TransferSystemError(
+                Violation("refinement", {"K": i, "H": j}))
+        if i != j:
+            m |= 1 << (i * lat.count + j)
+    return m
+
+
 def find_violation(lat: SubgroupLattice, rel: Rel) -> Optional[Violation]:
     return _check_refinement(lat, rel) or _check_axioms(lat, rel)
 
@@ -157,21 +175,20 @@ def validate(lat: SubgroupLattice, rel: Rel) -> TransferSystem:
     bad = find_violation(lat, rel)
     if bad is not None:
         raise TransferSystemError(bad)
-    return TransferSystem(lat.group, rel, lat)
+    return TransferSystem(lat.group, _mask_of_pairs(lat, rel_pairs(rel)), lat)
 
 
 def discrete(G: Group) -> TransferSystem:
-    lat = lattice_of(G)
-    return TransferSystem(G, rel_from_pairs(lat.count, ()), lat)
+    return TransferSystem(G, 0, lattice_of(G))
 
 
 def complete(G: Group) -> TransferSystem:
     lat = lattice_of(G)
-    return TransferSystem(G, lat.leq, lat)
+    return TransferSystem(G, _mask_of_pairs(lat, rel_pairs(lat.leq)), lat)
 
 
 class _Core:
-    """Relations on one subgroup lattice as bitsets over the pairs K < H.
+    """What closing a mask of pairs K < H needs to know of one lattice.
 
     Pair (K, H) is bit ``K * n + H``, its place in the row-major relation
     matrix, so comparing two masks from the lowest bit up compares their
@@ -201,7 +218,6 @@ class _Core:
                     if leq[l][cj] and k != l:
                         implied |= 1 << (k * n + l)
             self.step[p] = (implied, into[i], j - i, out_of[j], (j - i) * n)
-        self._rows: dict[int, tuple[bool, ...]] = {}
 
     def close(self, mask: int) -> int:
         """The least transfer system containing a mask, as a mask.
@@ -229,30 +245,8 @@ class _Core:
         implications all lie in it."""
         return sum(1 << p for p in self.ids if not self.step[p][0] & ~mask)
 
-    def mask(self, rel: Rel) -> int:
-        return self.mask_of_pairs(rel_pairs(rel))
-
-    def mask_of_pairs(self, pairs: Iterable[tuple[int, int]]) -> int:
-        """Raises a refinement violation at the first pair not K <= H."""
-        m = 0
-        for i, j in pairs:
-            if not self.lat.leq[i][j]:
-                raise TransferSystemError(
-                    Violation("refinement", {"K": i, "H": j}))
-            if i != j:
-                m |= 1 << (i * self.n + j)
-        return m
-
     def system(self, mask: int) -> TransferSystem:
-        n, rows = self.n, self._rows
-        rel = []
-        for i in range(n):
-            r = (mask >> (i * n)) & ((1 << n) - 1) | 1 << i
-            row = rows.get(r)
-            if row is None:
-                row = rows[r] = tuple(bool(r >> j & 1) for j in range(n))
-            rel.append(row)
-        return TransferSystem(self.lat.group, tuple(rel), self.lat)
+        return TransferSystem(self.lat.group, mask, self.lat)
 
 
 @cache
@@ -264,30 +258,28 @@ def _core(lat: SubgroupLattice) -> _Core:
 def generate(lat: SubgroupLattice, rel: Rel) -> TransferSystem:
     """Least transfer system containing a relation that refines inclusion."""
     core = _core(lat)
-    return core.system(core.close(core.mask(rel)))
+    return core.system(core.close(_mask_of_pairs(lat, rel_pairs(rel))))
 
 
 def generate_pairs(lat: SubgroupLattice,
                    pairs: Iterable[tuple[int, int]]) -> TransferSystem:
     """Least transfer system containing pairs (K, H) with K inside H."""
     core = _core(lat)
-    return core.system(core.close(core.mask_of_pairs(pairs)))
+    return core.system(core.close(_mask_of_pairs(lat, pairs)))
 
 
-def cogenerate(lat: SubgroupLattice, rel: Rel,
-               check: bool = True) -> TransferSystem:
+def cogenerate(lat: SubgroupLattice, rel: Rel) -> TransferSystem:
     """Largest transfer system contained in a partial order refining inclusion.
 
     Keeps (K, H) iff everything it implies, the pairs (gKg^-1 n L, L) for
     every g and every L inside gHg^-1, already lies in the input order.
     """
-    if check:
-        bad = (_check_refinement(lat, rel) or _check_reflexive(rel)
-               or _check_transitive(rel))
-        if bad is not None:
-            raise TransferSystemError(bad)
+    bad = (_check_refinement(lat, rel) or _check_reflexive(rel)
+           or _check_transitive(rel))
+    if bad is not None:
+        raise TransferSystemError(bad)
     core = _core(lat)
-    return core.system(core.interior(core.mask(rel)))
+    return core.system(core.interior(_mask_of_pairs(lat, rel_pairs(rel))))
 
 
 def cogenerate_pairs(lat: SubgroupLattice,
@@ -295,22 +287,20 @@ def cogenerate_pairs(lat: SubgroupLattice,
     """Largest transfer system inside the relation made of these pairs
     K <= H; unlike `cogenerate`, the relation is not checked."""
     core = _core(lat)
-    return core.system(core.interior(core.mask_of_pairs(pairs)))
+    return core.system(core.interior(_mask_of_pairs(lat, pairs)))
 
 
 def meet(s: TransferSystem, t: TransferSystem) -> TransferSystem:
-    """Greatest lower bound: the pairwise intersection, no closure needed."""
+    """Greatest lower bound: the intersection, no closure needed."""
     _require_same_group(s, t)
-    rel = tuple(tuple(a and b for a, b in zip(ra, rb))
-                for ra, rb in zip(s.rel, t.rel))
-    return TransferSystem(s.group, rel, s.lattice)
+    return TransferSystem(s.group, s.mask & t.mask, s.lattice)
 
 
 def join(s: TransferSystem, t: TransferSystem) -> TransferSystem:
     """Least upper bound: the closure of the union."""
     _require_same_group(s, t)
     core = _core(s.lattice)
-    return core.system(core.close(core.mask(s.rel) | core.mask(t.rel)))
+    return core.system(core.close(s.mask | t.mask))
 
 
 def enumerate_transfer_systems(G: Group,
@@ -324,6 +314,9 @@ def enumerate_transfer_systems(G: Group,
     matrix order, which makes the lectic order that of
     `TransferSystem.flat`.  ``budget`` caps the number of closures.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be a non-negative number of "
+                         f"closures, got {budget}")
     core = _core(lattice_of(G))
     close = core.close
     top_down = core.ids[::-1]
@@ -365,7 +358,7 @@ def hasse(systems: Sequence[TransferSystem]) -> list[tuple[int, int]]:
     for t in systems:
         _require_same_group(systems[0], t)
     core = _core(systems[0].lattice)
-    masks = [core.mask(t.rel) for t in systems]
+    masks = [t.mask for t in systems]
     order = sorted(range(len(systems)), key=lambda a: masks[a].bit_count())
     holders = [0] * (core.n * core.n)     # pair bit -> ranks holding it
     for r, a in enumerate(order):

@@ -57,11 +57,16 @@ from transys.transfer import (
     join,
     meet,
     rel_from_pairs,
-    rel_leq,
     rel_pairs,
 )
 
 ACCEPTANCE_GROUPS = ("C4", "C8", "K4", "S3")
+
+
+def rel_leq(a, b):
+    """Elementwise a <= b of two relation matrices."""
+    return all(not av or bv for ra, rb in zip(a, b) for av, bv in zip(ra, rb))
+
 
 RES_MATRIX = {
     # res pulls back systems on the target group of each map

@@ -47,6 +47,25 @@ def test_ts_enumerate_budget_exit_code(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_ts_enumerate_budget_must_be_non_negative(capsys):
+    # -3 used to be reported as a spent budget (exit 2)
+    code, out, err = run(capsys, "ts", "enumerate", "--group", "C4",
+                         "--budget", "-3")
+    assert code == 1 and out == "" and "budget must be" in err
+    code, _, err = run(capsys, "ts", "enumerate", "--group", "C4",
+                       "--budget", "0")
+    assert code == 2 and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [("ts", "enumerate"), ("group", "show"),
+                                  ("group", "subgroups")])
+def test_commands_without_group_rejected(argv, capsys):
+    # used to escape as an AttributeError traceback from group_by_name(None)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert "needs --group" in err
+
+
 def test_ts_validate_and_ops(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(
@@ -230,6 +249,17 @@ def test_verify_rewrite_criteria_golden(mode, capsys):
     code, out, _ = run(capsys, "verify", "rewrite-criteria", "--mode", mode)
     assert code == 0
     assert out.encode() == (GOLDEN / f"rewrite_criteria_{mode}.json").read_bytes()
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--count", "-1", "count must be non-negative"),
+    ("--window", "0", "max_symbols must be at least 1")])
+def test_verify_rewrite_criteria_bad_numbers_rejected(option, value, message,
+                                                      capsys):
+    # --count -1 used to pass with 0 cases, and --window 0 died inside
+    # randrange
+    code, out, err = run(capsys, "verify", "rewrite-criteria", option, value)
+    assert code == 1 and out == "" and message in err
 
 
 def test_verify_budget_exit_code(capsys):

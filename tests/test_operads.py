@@ -3,6 +3,7 @@ change-of-group on generators, and the obstruction to noninjective
 induction."""
 
 import math
+import re
 
 import pytest
 
@@ -114,6 +115,15 @@ def test_symseq_from_json_rejects_orbits_not_a_list():
     # used to escape as a TypeError traceback
     with pytest.raises(GroupError, match="'orbits' must be a list"):
         symseq_from_json(_c4_level_two(2, 1))
+
+
+@pytest.mark.parametrize("key", ["-2", " 2", "02", "x"])
+def test_symseq_from_json_rejects_noncanonical_level_keys(key):
+    # "-2" used to be a level of negative arity, " 2" and "02" both read as
+    # level 2 (so one of {"2", "02"} was dropped), and "x" failed inside int()
+    levels = {"2": [{"H": 2, "orbits": [1]}], key: []}
+    with pytest.raises(GroupError, match=re.escape(f"level key {key!r}")):
+        symseq_from_json({"group": "C4", "levels": levels})
 
 
 def test_coind_criterion_examples():

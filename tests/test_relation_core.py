@@ -3,9 +3,12 @@
 The oracles below are the earlier implementations, kept verbatim in
 behaviour: a DFS enumerator that re-saturates a pair set at every search
 node, the pair-set saturation itself, and the cubic cover scan.  The
-counts for C2xC6 and D6 are the published ones (3,396 and 3,133).
+counts for C2xC6 and D6 are the published ones (3,396 and 3,133).  The
+matrices these oracles build are also the reference for every view of a
+system's mask: pairs, membership, the matrix itself, equality and hashing.
 """
 
+import operator
 import random
 
 import pytest
@@ -19,8 +22,10 @@ from transys.transfer import (
     generate_pairs,
     hasse,
     join,
+    meet,
     rel_from_pairs,
     rel_pairs,
+    validate,
 )
 
 #: catalog groups with at most 10 subgroups; C2xC6 has 3,396 systems, too
@@ -121,6 +126,23 @@ def cogenerate_oracle(lat, rel):
     return rel_from_pairs(lat.count, kept)
 
 
+def rel_leq(a, b):
+    """Elementwise a <= b of two relation matrices."""
+    return all(not av or bv for ra, rb in zip(a, b) for av, bv in zip(ra, rb))
+
+
+def assert_views_match(lat, t, m):
+    """Every view of a system, and its equality and hash, agree with the
+    relation matrix ``m`` of the same pairs."""
+    n = range(lat.count)
+    assert t.rel == m
+    assert t.pairs() == rel_pairs(m)
+    assert t.flat() == tuple(v for row in m for v in row)
+    assert all(t.has(i, j) == m[i][j] for i in n for j in n)
+    again = validate(lat, m)
+    assert again == t and hash(again) == hash(t)
+
+
 def _candidates(lat):
     return [(i, j) for i in range(lat.count) for j in range(lat.count)
             if i != j and lat.leq[i][j]]
@@ -129,9 +151,28 @@ def _candidates(lat):
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_enumeration_and_covers_match_oracles(name):
     G = group_by_name(name)
+    lat = lattice_of(G)
     systems = enumerate_transfer_systems(G)
-    assert [t.rel for t in systems] == dfs_enumerate(G)
+    seed = dfs_enumerate(G)
+    assert [t.rel for t in systems] == seed
+    for t, m in zip(systems, seed):
+        assert_views_match(lat, t, m)
+    assert len(set(systems)) == len(systems)
     assert hasse(systems) == cubic_hasse(systems)
+
+
+@pytest.mark.parametrize("name", ("C4", "K4", "S3", "D4"))
+def test_meet_and_refines_match_the_matrices(name):
+    lat = lattice_of(group_by_name(name))
+    systems = enumerate_transfer_systems(lat.group)
+    rels = [rel_from_pairs(lat.count, t.pairs()) for t in systems]
+    by_rel = dict(zip(rels, systems))
+    for s, a in zip(systems, rels):
+        for t, b in zip(systems, rels):
+            both = tuple(tuple(map(operator.and_, ra, rb))
+                         for ra, rb in zip(a, b))
+            assert meet(s, t) == by_rel[both]
+            assert s.refines(t) == rel_leq(a, b)
 
 
 def test_c2xc6_matches_dfs_and_published_count():
