@@ -124,6 +124,8 @@ def cmd_functor(args) -> int:
 
     if args.hom_file:
         f = hom_from_json(_read_json(args.hom_file))
+    elif args.hom is None:
+        raise ValueError("functor apply needs --hom or --hom-file")
     else:
         f = catalog_hom(args.hom)
     side = f.source if args.kind in ("fL", "fR") else f.target
@@ -156,8 +158,16 @@ def cmd_verify(args) -> int:
     return PASS if report.passed else FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (invalid input), leaving 2 to a spent budget."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(FAIL, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="transys",
         description="transfer systems, change-of-group functors, and "
                     "operadic verification on finite groups")

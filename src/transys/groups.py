@@ -57,6 +57,8 @@ class Group:
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.mul)
         object.__setattr__(self, "mul", rows)
+        # the table is immutable, so hash it once (as the dataclass would)
+        object.__setattr__(self, "_hash", hash((rows,)))
         n = len(rows)
         if n == 0:
             raise GroupError("group must be nonempty")
@@ -80,6 +82,9 @@ class Group:
                 for c in range(n):
                     if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
                         raise GroupError(f"associativity fails at ({a},{b},{c})")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:

@@ -581,8 +581,7 @@ def check_criteria(pool: SymbolPool, mode: RewriteMode, count: int = 200,
 # pools for the standard factors
 
 
-def as_pool(G: Group, max_arity: int, factor: str = "X",
-            other: Optional["SymbolPool"] = None) -> SymbolPool:
+def as_pool(G: Group, max_arity: int, factor: str = "X") -> SymbolPool:
     """A slice of the associativity operad: one symbol per arity, trivial
     group action, full composite table within the slice."""
     symbols = [OpSymbol(factor, n, n) for n in range(max_arity + 1)]
@@ -726,16 +725,6 @@ class Witness:
     structure: FiniteGSet
 
 
-def _plug_orbit(pool: SymbolPool, w: Witness, positions: Sequence[int],
-                filler: OpSymbol) -> Term:
-    """Keep variables on the listed slots, plug the marked constant into
-    the rest; variables are renumbered in slot order."""
-    keep = set(positions)
-    args = [Var(1) if q in keep else App(filler, ())
-            for q in range(w.structure.size)]
-    return gamma(w.term, args)
-
-
 def _compose_witnesses(pool: SymbolPool, inner: Witness, outer: Witness
                        ) -> Term:
     """Composite witness for transitivity: plug translated copies of the
@@ -743,15 +732,17 @@ def _compose_witnesses(pool: SymbolPool, inner: Witness, outer: Witness
 
     The outer structure is a transitive H-set with point stabilizers
     conjugate to the middle subgroup; each slot gets the inner witness
-    translated by an element carrying the basepoint to that slot.
+    translated by an element carrying the basepoint to that slot.  The
+    basepoint is the least point whose stabilizer is the inner subgroup;
+    the point h.0 has stabilizer h K h^-1, K being the stabilizer of 0.
     """
     struct = outer.structure
     H = outer.subgroup
-    G = H.group
-    J = inner.subgroup
-    j_members = J.member_set
-    base = next(p for p in range(struct.size)
-                if struct.stabilizer(p).member_set == j_members)
+    lat = lattice_of(H.group)
+    (k_id,) = struct.stabilizer_ids
+    j_id = lat.id_of(inner.subgroup)
+    base = min(struct.act_of(h)[0] for h in H.members
+               if lat.conj_table[h][k_id] == j_id)
     args = []
     for q in range(struct.size):
         h = next(h for h in H.members if struct.act_of(h)[base] == q)
@@ -760,92 +751,42 @@ def _compose_witnesses(pool: SymbolPool, inner: Witness, outer: Witness
 
 
 class WitnessTable:
-    """Fixed-term witnesses for every pair of a generated transfer system.
+    """The generator witnesses of one free model, one per transfer pair.
 
-    Mirrors the closure computation of the transfer system itself, but
-    carries terms along: conjugation translates, restriction plugs the
-    marked constant into the complementary orbits, transitivity composes.
-    Every constructed term is re-verified to be fixed before it is kept.
+    A free model has one generator orbit Gamma(H/K) for each pair K < H of
+    its transfer system.  The orbit's basepoint symbol applied to x1..xn is
+    fixed by the graph subgroup, with the transitive H-set H/K on its
+    slots, so the generator itself witnesses the pair.  Every term is
+    re-verified to be fixed before it is kept.  A sequence that is not a
+    free model leaves some pair of its transfer system without a
+    generator and is rejected.
     """
 
-    def __init__(self, pool: SymbolPool, symseq, factor: str, base: dict):
+    def __init__(self, pool: SymbolPool, symseq, base: dict):
         from .operads import symseq_transfer
 
-        self.pool = pool
-        self.group = symseq.group
-        self.lat = lattice_of(self.group)
-        self.factor = factor
-        self.filler = next(s for s in pool.symbols
-                           if s.factor == factor and s.arity == 0)
+        lat = lattice_of(symseq.group)
         self.transfer = symseq_transfer(symseq)
         self.witnesses: dict[tuple[int, int], Witness] = {}
-        for i in range(self.lat.count):
-            self._insert(i, i, Var(1))
         for n in sorted(symseq.levels):
             for orb in symseq.levels[n]:
-                sym = base[orb]
-                t0 = App(sym, tuple(Var(i + 1) for i in range(n)))
-                w0 = self._checked(self.lat.id_of(orb.subgroup), t0)
-                for orbit, k_id in zip(orb.hset.orbits(),
-                                       orb.hset.stabilizer_ids):
-                    plugged = _plug_orbit(self.pool, w0, orbit, self.filler)
-                    self._insert(k_id, self.lat.id_of(orb.subgroup), plugged)
-        self._saturate()
-        missing = {p for p in self.transfer.pairs()} - set(self.witnesses)
+                H = orb.subgroup
+                k_id, h_id = orb.hset.stabilizer_ids[0], lat.id_of(H)
+                term = App(base[orb], tuple(Var(i + 1) for i in range(n)))
+                struct = fixed_structure(pool, term, H)
+                if struct is None:
+                    raise RewriteError(f"generator is not fixed under {H}: "
+                                       f"{format_term(term)}")
+                # sanity: the structure must be the transitive set on H/K
+                if iso_key(struct) != (lat.hclass_rep(h_id, k_id),):
+                    raise RewriteError(
+                        f"witness structure mismatch for pair ({k_id},{h_id})")
+                self.witnesses[(k_id, h_id)] = Witness(term, H, struct)
+        missing = set(self.transfer.pairs()) - set(self.witnesses)
         if missing:
             raise RewriteError(
-                f"witness saturation missed transfer pairs {sorted(missing)}")
-
-    def _checked(self, h_id: int, term: Term) -> Witness:
-        H = self.lat.subgroups[h_id]
-        struct = fixed_structure(self.pool, term, H)
-        if struct is None:
-            raise RewriteError(
-                f"constructed term is not fixed under {H}: {format_term(term)}")
-        return Witness(term, H, struct)
-
-    def _insert(self, k_id: int, h_id: int, term: Term) -> bool:
-        if (k_id, h_id) in self.witnesses:
-            return False
-        w = self._checked(h_id, term)
-        # sanity: the structure must be the transitive set on H/K
-        if iso_key(w.structure) != (self.lat.hclass_rep(h_id, k_id),):
-            raise RewriteError(
-                f"witness structure mismatch for pair ({k_id},{h_id})")
-        self.witnesses[(k_id, h_id)] = w
-        return True
-
-    def _saturate(self) -> None:
-        lat = self.lat
-        changed = True
-        while changed:
-            changed = False
-            for (i, j), w in list(self.witnesses.items()):
-                for g in self.group.elements():
-                    ci, cj = lat.conj_table[g][i], lat.conj_table[g][j]
-                    if (ci, cj) not in self.witnesses:
-                        changed |= self._insert(ci, cj,
-                                                act_g(self.pool, g, w.term))
-                for l in lat.ids_below(j):
-                    target = (lat.meet_table[l][i], l)
-                    if target in self.witnesses:
-                        continue
-                    L = lat.subgroups[l]
-                    base = next(p for p in range(w.structure.size)
-                                if lat.id_of(w.structure.stabilizer(p)) == i)
-                    orbit = w.structure.restrict(L).orbits()
-                    l_orbit = next(o for o in orbit if base in o)
-                    plugged = _plug_orbit(self.pool,
-                                          Witness(w.term, L,
-                                                  w.structure.restrict(L)),
-                                          l_orbit, self.filler)
-                    changed |= self._insert(target[0], target[1], plugged)
-            for (i, j1), w1 in list(self.witnesses.items()):
-                for (j2, k), w2 in list(self.witnesses.items()):
-                    if j1 != j2 or (i, k) in self.witnesses or i == j1 or j2 == k:
-                        continue
-                    term = _compose_witnesses(self.pool, w1, w2)
-                    changed |= self._insert(i, k, term)
+                f"no generator witnesses the transfer pairs {sorted(missing)}; "
+                "join witnesses need a free model")
 
     def witness(self, k_id: int, h_id: int) -> Witness:
         return self.witnesses[(k_id, h_id)]
@@ -876,8 +817,8 @@ class WitnessFactory:
 
         self.pool, base_x, base_y = pool_from_free_models(S, T)
         self.lat = lattice_of(S.group)
-        self.table_x = WitnessTable(self.pool, S, "X", base_x)
-        self.table_y = WitnessTable(self.pool, T, "Y", base_y)
+        self.table_x = WitnessTable(self.pool, S, base_x)
+        self.table_y = WitnessTable(self.pool, T, base_y)
         self.join = join(self.table_x.transfer, self.table_y.transfer)
 
     def _chain(self, k_id: int, h_id: int):
@@ -931,16 +872,4 @@ class WitnessFactory:
         return AdmissibilityWitness((k_id, h_id), witness.term,
                                     witness.subgroup, witness.structure,
                                     nf, mode.kind, verified)
-
-
-def admissibility_witness(S, T, k_id: int, h_id: int, mode: RewriteMode
-                          ) -> AdmissibilityWitness:
-    """A fixed term in the combined free operad witnessing one transfer of
-    the join, reduced in the requested mode and re-checked after reduction.
-
-    The pair must lie in the join of the two generated transfer systems;
-    the witness composes factor witnesses along a chain through the union
-    relation, which exists exactly when the join contains the pair.
-    """
-    return WitnessFactory(S, T).witness(k_id, h_id, mode)
 

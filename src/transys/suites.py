@@ -129,12 +129,11 @@ def suite_thmA_join(group: str = "C4",
     report = SuiteReport("thmA-join", {"group": group})
     G = group_by_name(group)
     systems = enumerate_transfer_systems(G, budget)
-    for s in systems:
-        for t in systems:
-            report.absorb(
-                operads.coproduct_join_check(operads.free_model(s),
-                                             operads.free_model(t)),
-                {"group": group, "s": s.pairs(), "t": t.pairs()})
+    models = [operads.free_model(s) for s in systems]
+    for s, S in zip(systems, models):
+        for t, T in zip(systems, models):
+            report.absorb(operads.coproduct_join_check(S, T),
+                          {"group": group, "s": s.pairs(), "t": t.pairs()})
     return report
 
 
@@ -145,9 +144,9 @@ def suite_thmA_tensor(group: str = "C4",
     report = SuiteReport("thmA-tensor", {"group": group})
     G = group_by_name(group)
     systems = enumerate_transfer_systems(G, budget)
-    for s in systems:
-        for t in systems:
-            S, T = operads.free_model(s), operads.free_model(t)
+    models = [operads.free_model(s) for s in systems]
+    for s, S in zip(systems, models):
+        for t, T in zip(systems, models):
             factory = rewrite.WitnessFactory(S, T)
             for k_id, h_id in factory.join.pairs():
                 for mode in (rewrite.COPRODUCT, rewrite.TENSOR):

@@ -34,8 +34,8 @@ class BudgetExceededError(RuntimeError):
 class Violation:
     """First failed transfer-system axiom, with subgroup-id witnesses."""
 
-    # subgroup id | refinement | reflexivity | transitivity | conjugation
-    # | restriction
+    # subgroup id | same group | refinement | reflexivity | transitivity
+    # | conjugation | restriction
     kind: str
     witness: dict
 
@@ -150,7 +150,8 @@ class TransferSystem:
 def _require_same_group(s: TransferSystem, t: TransferSystem) -> None:
     if s.group != t.group:
         raise TransferSystemError(
-            Violation("refinement", {"reason": "group mismatch"}))
+            Violation("same group",
+                      {"left": repr(s.group), "right": repr(t.group)}))
 
 
 def _mask_of_pairs(lat: SubgroupLattice,

@@ -103,6 +103,18 @@ def test_ts_meet_join_without_second_file(tmp_path, capsys):
         assert "missing the JSON file argument 'other'" in err
 
 
+def test_ts_meet_across_groups_names_both(tmp_path, capsys):
+    # used to say only "refinement violated at reason=group mismatch"
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps({"group": "C4", "pairs": [[0, 1]]}))
+    b.write_text(json.dumps({"group": "S3", "pairs": []}))
+    for action in ("meet", "join"):
+        code, out, err = run(capsys, "ts", action, str(a), str(b))
+        assert code == 1 and out == ""
+        assert "Group(C4, order=4)" in err and "Group(S3, order=6)" in err
+
+
 def test_ts_catalog_group_values_of_the_wrong_type_rejected(tmp_path, capsys):
     # "4" and 4.0 used to escape as TypeError tracebacks, and true built
     # a one-element group named CTrue
@@ -213,6 +225,16 @@ def test_functor_hom_file(tmp_path, capsys):
     assert code == 0 and json.loads(out)["pairs"] == [[0, 1]]
 
 
+def test_functor_apply_without_hom(tmp_path, capsys):
+    # used to say "unknown hom None; known: [...]"
+    c4 = tmp_path / "c4.json"
+    c4.write_text(json.dumps({"group": "C4", "pairs": []}))
+    code, out, err = run(capsys, "functor", "apply", "--kind", "fL",
+                         "--input", str(c4))
+    assert code == 1 and out == ""
+    assert "needs --hom or --hom-file" in err and "None" not in err
+
+
 def test_functor_fL_noninjective_warns(tmp_path, capsys):
     c4 = tmp_path / "c4.json"
     c4.write_text(json.dumps({"group": "C4", "pairs": []}))
@@ -267,3 +289,23 @@ def test_verify_budget_exit_code(capsys):
                        "--budget", "2")
     assert code == 2
     assert json.loads(out)["outcome"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "galois", "--budget", "x"), "invalid int value: 'x'"),
+    (("verify", "galois", "extra"), "unrecognized arguments: extra"),
+    (("ts", "nosuch"), "invalid choice"),
+])
+def test_usage_errors_exit_1(argv, message, capsys):
+    # argparse exited 2, the code of a spent budget
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert message in err and "usage:" in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out

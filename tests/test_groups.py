@@ -69,6 +69,16 @@ def test_group_table_validation():
         Group(((1, 0), (0, 1)))
 
 
+def test_group_hash_follows_the_table_not_the_name():
+    C6 = cyclic_group(6)
+    lists = Group([list(row) for row in C6.mul], name="other")
+    assert lists == C6 and hash(lists) == hash(C6)
+    assert hash(Group(C6.mul, name="renamed")) == hash(C6)
+    S3 = symmetric_group(3)
+    assert S3 != C6 and hash(S3) != hash(C6)
+    assert lattice_of(lists) is lattice_of(C6)
+
+
 @pytest.mark.parametrize("mul", [
     [[0, 1.7], [1.2, 0]],            # was truncated to C2 by int()
     [[0, 1.0], [1.0, 0]],

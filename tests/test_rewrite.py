@@ -6,8 +6,14 @@ import random
 import pytest
 
 from transys.catalog import group_by_name
-from transys.groups import compose, identity_perm, lattice_of
-from transys.operads import free_model, symseq_transfer
+from transys.groups import (
+    compose,
+    graph_subgroup,
+    hset_of_orbits,
+    identity_perm,
+    lattice_of,
+)
+from transys.operads import SymmetricSequence, free_model, symseq_transfer
 from transys.rewrite import (
     App,
     COPRODUCT,
@@ -19,7 +25,6 @@ from transys.rewrite import (
     WitnessFactory,
     act_g,
     act_sigma,
-    admissibility_witness,
     as_pool,
     check_criteria,
     complexity,
@@ -337,7 +342,7 @@ def test_witness_single_generator():
     C2 = group_by_name("C2")
     top = enumerate_transfer_systems(C2)[-1]
     S = free_model(top)
-    w = admissibility_witness(S, S, 0, 1, COPRODUCT)
+    w = WitnessFactory(S, S).witness(0, 1, COPRODUCT)
     assert w.verified
     assert isinstance(w.term, App) and all(isinstance(c, Var)
                                            for c in w.term.children)
@@ -350,9 +355,10 @@ def test_witness_two_level_composite():
     a = generate(lat, rel_from_pairs(lat.count, [(0, 1)]))
     b = generate(lat, rel_from_pairs(lat.count, [(1, 2)]))
     S, T = free_model(a), free_model(b)
+    factory = WitnessFactory(S, T)
     results = {}
     for mode in (COPRODUCT, TENSOR):
-        w = admissibility_witness(S, T, 0, 2, mode)
+        w = factory.witness(0, 2, mode)
         assert w.verified
         assert term_arity(w.term) == 4
         results[mode.kind] = w.normal_form
@@ -383,6 +389,48 @@ def test_witness_sweep_c4():
             for k_id, h_id in factory.join.pairs():
                 for mode in (COPRODUCT, TENSOR):
                     assert factory.witness(k_id, h_id, mode).verified
+
+
+def test_witness_sweep_d4_slice():
+    """A seeded slice of the thmA-tensor pairs on D4 (294 systems)."""
+    D4 = group_by_name("D4")
+    systems = enumerate_transfer_systems(D4)
+    rng = random.Random(4)
+    checked = 0
+    for _ in range(30):
+        S, T = (free_model(rng.choice(systems)) for _ in range(2))
+        factory = WitnessFactory(S, T)
+        for k_id, h_id in factory.join.pairs():
+            for mode in (COPRODUCT, TENSOR):
+                assert factory.witness(k_id, h_id, mode).verified
+                checked += 1
+    assert checked > 500
+
+
+def _c4_sequence(*orbits):
+    """One C4 orbit per (H, parts) entry, acting on H/K1 + H/K2 + ..."""
+    C4 = group_by_name("C4")
+    lat = lattice_of(C4)
+    levels = {}
+    for h_id, parts in orbits:
+        H = lat.subgroups[h_id]
+        T = hset_of_orbits(H, [lat.subgroups[k] for k in parts])
+        levels.setdefault(T.size, []).append(graph_subgroup(C4, H, T))
+    return SymmetricSequence(C4, levels)
+
+
+def test_witness_factory_rejects_non_free_sequences():
+    free = _c4_sequence((2, (0,)), (2, (1,)), (1, (0,)))
+    assert symseq_transfer(free).pairs() == [(0, 1), (0, 2), (1, 2)]
+    WitnessFactory(free, free)
+    # one orbit C4/e + C4/C2: its generator is not transitive
+    two_orbits = _c4_sequence((2, (0, 1)))
+    with pytest.raises(RewriteError, match="structure mismatch"):
+        WitnessFactory(two_orbits, free)
+    # C4/e alone also generates e < C2, which has no generator
+    restricted = _c4_sequence((2, (0,)))
+    with pytest.raises(RewriteError, match=r"\(0, 1\)"):
+        WitnessFactory(free, restricted)
 
 
 def test_marked_tensor_self_interchange_obstruction():

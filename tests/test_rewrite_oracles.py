@@ -1,7 +1,9 @@
-"""The redex walk and normal-form joinability against the seed rewriting
-code, kept here as oracles: the pre-order redex list ranked by
-`_pick_leftmost_innermost`, the normalizer built on it, and joinability by
-intersecting full descendant sets (`_descendants`)."""
+"""The redex walk, normal-form joinability and the generator witness
+tables against the seed rewriting code, kept here as oracles: the
+pre-order redex list ranked by `_pick_leftmost_innermost`, the normalizer
+built on it, joinability by intersecting full descendant sets
+(`_descendants`), and the witness table that re-ran the transfer-system
+closure on terms (`SeedWitnessTable._saturate`)."""
 
 import functools
 import random
@@ -10,7 +12,7 @@ from collections import Counter
 import pytest
 
 from transys.catalog import group_by_name
-from transys.operads import free_model
+from transys.operads import free_model, symseq_transfer
 from transys.rewrite import (
     COPRODUCT,
     TENSOR,
@@ -19,19 +21,27 @@ from transys.rewrite import (
     RewriteError,
     Step,
     SymbolPool,
+    Var,
+    Witness,
+    WitnessFactory,
+    WitnessTable,
+    _compose_witnesses,
     _local_coproduct,
     _local_tensor,
+    act_g,
     as_pool,
     check_criteria,
     complexity,
+    fixed_structure,
     fuzz_term,
+    gamma,
     one_step_reducts,
     parse_term,
     pool_from_free_models,
     reduce_term,
     replace_at,
 )
-from transys.groups import identity_perm
+from transys.groups import identity_perm, iso_key, lattice_of
 from transys.transfer import enumerate_transfer_systems
 
 TERMS_PER_MODE = 1000
@@ -81,6 +91,106 @@ def seed_reduce_term(pool, t, mode):
         trace.append(Step(rule, path, current, after))
         current = after
     raise RewriteError("step budget exceeded; descent is broken")
+
+
+def seed_plug_orbit(w, positions, filler):
+    keep = set(positions)
+    args = [Var(1) if q in keep else App(filler, ())
+            for q in range(w.structure.size)]
+    return gamma(w.term, args)
+
+
+def seed_compose_witnesses(pool, inner, outer):
+    struct = outer.structure
+    H = outer.subgroup
+    j_members = inner.subgroup.member_set
+    base = next(p for p in range(struct.size)
+                if struct.stabilizer(p).member_set == j_members)
+    args = []
+    for q in range(struct.size):
+        h = next(h for h in H.members if struct.act_of(h)[base] == q)
+        args.append(act_g(pool, h, inner.term))
+    return gamma(outer.term, args)
+
+
+class SeedWitnessTable:
+    """Identity witnesses, plugged generators, then a fixpoint of
+    conjugation, restriction by plugging and composition."""
+
+    def __init__(self, pool, symseq, factor, base):
+        self.pool = pool
+        self.group = symseq.group
+        self.lat = lattice_of(self.group)
+        self.filler = next(s for s in pool.symbols
+                           if s.factor == factor and s.arity == 0)
+        self.transfer = symseq_transfer(symseq)
+        self.witnesses = {}
+        for i in range(self.lat.count):
+            self._insert(i, i, Var(1))
+        for n in sorted(symseq.levels):
+            for orb in symseq.levels[n]:
+                t0 = App(base[orb], tuple(Var(i + 1) for i in range(n)))
+                w0 = self._checked(self.lat.id_of(orb.subgroup), t0)
+                for orbit, k_id in zip(orb.hset.orbits(),
+                                       orb.hset.stabilizer_ids):
+                    plugged = seed_plug_orbit(w0, orbit, self.filler)
+                    self._insert(k_id, self.lat.id_of(orb.subgroup), plugged)
+        self.generated = len(self.witnesses)
+        self._saturate()
+        missing = set(self.transfer.pairs()) - set(self.witnesses)
+        if missing:
+            raise RewriteError(
+                f"witness saturation missed transfer pairs {sorted(missing)}")
+
+    def _checked(self, h_id, term):
+        H = self.lat.subgroups[h_id]
+        struct = fixed_structure(self.pool, term, H)
+        if struct is None:
+            raise RewriteError(f"term is not fixed under {H}")
+        return Witness(term, H, struct)
+
+    def _insert(self, k_id, h_id, term):
+        if (k_id, h_id) in self.witnesses:
+            return False
+        w = self._checked(h_id, term)
+        if iso_key(w.structure) != (self.lat.hclass_rep(h_id, k_id),):
+            raise RewriteError(f"witness structure mismatch for ({k_id},{h_id})")
+        self.witnesses[(k_id, h_id)] = w
+        return True
+
+    def _saturate(self):
+        lat = self.lat
+        changed = True
+        while changed:
+            changed = False
+            for (i, j), w in list(self.witnesses.items()):
+                for g in self.group.elements():
+                    ci, cj = lat.conj_table[g][i], lat.conj_table[g][j]
+                    if (ci, cj) not in self.witnesses:
+                        changed |= self._insert(ci, cj,
+                                                act_g(self.pool, g, w.term))
+                for l in lat.ids_below(j):
+                    target = (lat.meet_table[l][i], l)
+                    if target in self.witnesses:
+                        continue
+                    L = lat.subgroups[l]
+                    base = next(p for p in range(w.structure.size)
+                                if lat.id_of(w.structure.stabilizer(p)) == i)
+                    orbit = w.structure.restrict(L).orbits()
+                    l_orbit = next(o for o in orbit if base in o)
+                    plugged = seed_plug_orbit(
+                        Witness(w.term, L, w.structure.restrict(L)),
+                        l_orbit, self.filler)
+                    changed |= self._insert(target[0], target[1], plugged)
+            for (i, j1), w1 in list(self.witnesses.items()):
+                for (j2, k), w2 in list(self.witnesses.items()):
+                    if j1 != j2 or (i, k) in self.witnesses or i == j1 or j2 == k:
+                        continue
+                    term = seed_compose_witnesses(self.pool, w1, w2)
+                    changed |= self._insert(i, k, term)
+
+    def witness(self, k_id, h_id):
+        return self.witnesses[(k_id, h_id)]
 
 
 def _descendants(pool, t, mode, cache):
@@ -176,3 +286,85 @@ def test_local_joinability_can_fail():
     cache: dict = {}
     assert not (_descendants(pool, left, COPRODUCT, cache)
                 & _descendants(pool, right, COPRODUCT, cache))
+
+
+# ---------------------------------------------------------------------------
+# generator witness tables against the saturating seed table
+
+#: every system of the small groups, and a seeded slice of D4's 294
+WITNESS_SLICES = {"C4": None, "K4": None, "S3": None, "D4": 12}
+
+
+@functools.cache
+def _models(name):
+    systems = enumerate_transfer_systems(group_by_name(name))
+    size = WITNESS_SLICES[name]
+    if size is not None:
+        systems = random.Random(6).sample(systems, size)
+    return [free_model(s) for s in systems]
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_SLICES))
+def test_generator_table_matches_saturating_table(name):
+    lat = lattice_of(group_by_name(name))
+    pairs = 0
+    for S in _models(name):
+        pool, base_x, _ = pool_from_free_models(S, S)
+        table = WitnessTable(pool, S, base_x)
+        seed = SeedWitnessTable(pool, S, "X", base_x)
+        # the seed's per-subgroup identities aside, the two tables agree
+        # term for term and structure for structure
+        identities = {(i, i) for i in range(lat.count)}
+        assert identities <= set(seed.witnesses)
+        assert table.witnesses == {p: w for p, w in seed.witnesses.items()
+                                   if p not in identities}
+        assert seed.generated == len(seed.witnesses)  # saturation adds none
+        pairs += len(table.witnesses)
+    assert pairs > 0
+
+
+def _translate(pool, g, w):
+    """g . w, a witness for the conjugate pair."""
+    term = act_g(pool, g, w.term)
+    H = w.subgroup.conjugate(g)
+    return Witness(term, H, fixed_structure(pool, term, H))
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_SLICES))
+def test_compose_witnesses_matches_seed(name):
+    """Inner witnesses translated by the outer subgroup H: the inner
+    subgroup is then any H-conjugate of the outer's point stabilizer, so
+    the base point is not always 0."""
+    composed = moved = 0
+    for S in _models(name):
+        pool, base_x, _ = pool_from_free_models(S, S)
+        table = WitnessTable(pool, S, base_x)
+        for (i, j), inner in table.witnesses.items():
+            for (j2, k), outer in table.witnesses.items():
+                if j2 != j:
+                    continue
+                for h in outer.subgroup.members:
+                    a = _translate(pool, h, inner)
+                    assert (_compose_witnesses(pool, a, outer)
+                            == seed_compose_witnesses(pool, a, outer))
+                    composed += 1
+                    moved += outer.structure.stabilizer(0) != a.subgroup
+    assert composed > 0
+    assert moved > 0 or name in ("C4", "K4")  # abelian: conjugates coincide
+
+
+def test_factory_witnesses_match_seed_tables_on_d4_slice():
+    models = _models("D4")
+    checked = 0
+    for S, T in zip(models, models[1:] + models[:1]):
+        factory = WitnessFactory(S, T)
+        pairs = factory.join.pairs()
+        witnesses = [factory.witness(k, h, TENSOR) for k, h in pairs]
+        _, base_x, base_y = pool_from_free_models(S, T)
+        factory.table_x = SeedWitnessTable(factory.pool, S, "X", base_x)
+        factory.table_y = SeedWitnessTable(factory.pool, T, "Y", base_y)
+        for (k_id, h_id), w in zip(pairs, witnesses):
+            assert w.verified
+            assert w == factory.witness(k_id, h_id, TENSOR)
+            checked += 1
+    assert checked > 0
