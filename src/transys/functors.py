@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .groups import GroupError, Homomorphism, lattice_of
-from .transfer import (
-    TransferSystem,
-    cogenerate_pairs,
-    generate_pairs,
-    rel_from_pairs,
-    validate,
-)
+from .transfer import TransferSystem, cogenerate_pairs, generate_pairs
 
 KINDS = ("fL", "finvL", "fR", "finvR")
 
@@ -64,15 +58,6 @@ def preimage_R(f: Homomorphism, t: TransferSystem) -> TransferSystem:
     return cogenerate_pairs(lat, _pulled_back(lat, f.image_ids, t))
 
 
-def raw_pullback(m: Homomorphism, t: TransferSystem) -> TransferSystem:
-    """For injective m the plain pullback is already a transfer system."""
-    if not m.is_injective:
-        raise GroupError("raw pullback is only a transfer system for injective maps")
-    lat = lattice_of(m.source)
-    return validate(lat, rel_from_pairs(lat.count,
-                                        _pulled_back(lat, m.image_ids, t)))
-
-
 def apply_functor(kind: str, f: Homomorphism, t: TransferSystem) -> TransferSystem:
     if kind == "fL":
         return image_L(f, t)
@@ -98,12 +83,6 @@ class LawReport:
     @property
     def passed(self) -> bool:
         return self.counterexample is None
-
-    def to_json(self) -> dict:
-        out = {"law": self.law, "checked": self.checked, "passed": self.passed}
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
 
 
 GALOIS_PAIRINGS = {("fL", "finvR"), ("finvL", "fR")}

@@ -41,6 +41,13 @@ class GroupError(ValueError):
     pass
 
 
+def _require_order(order: int) -> None:
+    """Reject an order over MAX_ORDER; constructors call this before they
+    build a table, which grows as the square of the order."""
+    if order > MAX_ORDER:
+        raise GroupError(f"order {order} exceeds supported maximum {MAX_ORDER}")
+
+
 @dataclass(frozen=True)
 class Group:
     """Finite group given by its full multiplication table.
@@ -62,8 +69,7 @@ class Group:
         n = len(rows)
         if n == 0:
             raise GroupError("group must be nonempty")
-        if n > MAX_ORDER:
-            raise GroupError(f"order {n} exceeds supported maximum {MAX_ORDER}")
+        _require_order(n)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise GroupError(f"row {i} has length {len(row)}, expected {n}")
@@ -124,6 +130,7 @@ def _table_group(name: str, elems: Sequence, op) -> Group:
 def cyclic_group(n: int) -> Group:
     if n <= 0:
         raise GroupError(f"cyclic order must be positive, got {n}")
+    _require_order(n)
     rows = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     return Group(rows, name=f"C{n}")
 
@@ -132,6 +139,8 @@ def symmetric_group(n: int) -> Group:
     """Sigma_n on points 0..n-1, permutations listed lexicographically."""
     if n < 0:
         raise GroupError("symmetric degree must be nonnegative")
+    if n > 4:  # n! > MAX_ORDER, named without computing n!
+        raise GroupError(f"order {n}! exceeds supported maximum {MAX_ORDER}")
     elems = sorted(itertools.permutations(range(n)))
     return _table_group(f"S{n}", elems, compose)
 
@@ -145,6 +154,7 @@ def dihedral_group(n: int) -> Group:
     """Symmetries of the n-gon, order 2n; element (s, i) encodes s^s r^i."""
     if n <= 0:
         raise GroupError(f"dihedral parameter must be positive, got {n}")
+    _require_order(2 * n)
     elems = [(s, i) for s in range(2) for i in range(n)]
 
     def op(a, b):
@@ -159,6 +169,7 @@ def dihedral_group(n: int) -> Group:
 
 
 def direct_product(g: Group, h: Group, name: Optional[str] = None) -> Group:
+    _require_order(g.order * h.order)
     elems = [(a, b) for a in g.elements() for b in h.elements()]
 
     def op(x, y):
@@ -232,9 +243,6 @@ class Subgroup:
 
     def contains(self, other: "Subgroup") -> bool:
         return other.member_set <= self.member_set
-
-    def intersect(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.group, tuple(self.member_set & other.member_set))
 
     def conjugate(self, g: int) -> "Subgroup":
         G = self.group
@@ -424,23 +432,12 @@ class Homomorphism:
             raise GroupError("subgroup not in the source group")
         return Subgroup(self.target, tuple({self.map[a] for a in H.members}))
 
-    def preimage_subgroup(self, H: Subgroup) -> Subgroup:
-        if H.group != self.target:
-            raise GroupError("subgroup not in the target group")
-        mem = H.member_set
-        return Subgroup(self.source,
-                        tuple(a for a in self.source.elements() if self.map[a] in mem))
-
     def kernel(self) -> Subgroup:
         return Subgroup(self.source,
                         tuple(a for a in self.source.elements() if self.map[a] == 0))
 
     def __repr__(self) -> str:
         return f"Hom({self.source.name}->{self.target.name})"
-
-
-def hom(source: Group, target: Group, mapping: Sequence[int]) -> Homomorphism:
-    return Homomorphism(source, target, tuple(mapping))
 
 
 def identity_hom(G: Group) -> Homomorphism:
@@ -544,9 +541,6 @@ class FiniteGSet:
         """Permutation row for an ambient-group element g in the subgroup."""
         return self.act[self.subgroup.position[g]]
 
-    def apply(self, g: int, x: int) -> int:
-        return self.act_of(g)[x]
-
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * self.size
         out = []
@@ -569,23 +563,6 @@ class FiniteGSet:
             out.append(tuple(sorted(orbit)))
         return tuple(out)
 
-    def stabilizer(self, x: int) -> Subgroup:
-        H = self.subgroup
-        return Subgroup(H.group,
-                        tuple(g for g in H.members if self.act_of(g)[x] == x))
-
-    def fixed_points(self, K: Subgroup) -> tuple[int, ...]:
-        if not self.subgroup.contains(K):
-            raise GroupError("fixed points only for subgroups of the acting group")
-        return tuple(x for x in range(self.size)
-                     if all(self.act_of(g)[x] == x for g in K.members))
-
-    def restrict(self, L: Subgroup) -> "FiniteGSet":
-        if not self.subgroup.contains(L):
-            raise GroupError("can only restrict to a smaller subgroup")
-        rows = tuple(self.act_of(g) for g in L.members)
-        return FiniteGSet(L, self.size, rows, side=self.side)
-
     def conjugate(self, g: int) -> "FiniteGSet":
         """The same points with gHg^-1 acting through h -> g^-1 h g."""
         if self.side != "left":
@@ -605,9 +582,6 @@ class FiniteGSet:
             for row_a, row_b in zip(self.act, other.act)
         )
         return FiniteGSet(self.subgroup, n + other.size, rows, side=self.side)
-
-    def orbit_stabilizers(self) -> list[tuple[tuple[int, ...], Subgroup]]:
-        return [(orbit, self.stabilizer(orbit[0])) for orbit in self.orbits()]
 
     @cached_property
     def stabilizer_ids(self) -> tuple[int, ...]:
@@ -650,10 +624,6 @@ def hset_of_orbits(H: Subgroup, parts: Iterable[Subgroup]) -> FiniteGSet:
             row.extend(size + number[G.mul[g][r]] for r in reps)
         size += len(reps)
     return FiniteGSet(H, size, rows)
-
-
-def trivial_hset(H: Subgroup, n: int) -> FiniteGSet:
-    return hset_of_orbits(H, (H,) * n)
 
 
 def coset_hset(H: Subgroup, K: Subgroup) -> FiniteGSet:
@@ -707,54 +677,6 @@ def iso_key(T: FiniteGSet) -> tuple[int, ...]:
     return tuple(sorted(lat.hclass_rep(h_id, k) for k in T.stabilizer_ids))
 
 
-def are_isomorphic(T1: FiniteGSet, T2: FiniteGSet) -> bool:
-    return (T1.subgroup == T2.subgroup and T1.size == T2.size
-            and iso_key(T1) == iso_key(T2))
-
-
-def hset_isomorphism(T1: FiniteGSet, T2: FiniteGSet) -> Optional[Perm]:
-    """An H-equivariant bijection T1 -> T2 as a point map, or None."""
-    if T1.subgroup != T2.subgroup or T1.size != T2.size:
-        return None
-    H = T1.subgroup
-    orbits1 = T1.orbit_stabilizers()
-    orbits2 = T2.orbit_stabilizers()
-    used = [False] * len(orbits2)
-    mapping = [None] * T1.size
-    for orbit1, stab1 in orbits1:
-        placed = False
-        for j, (orbit2, _) in enumerate(orbits2):
-            if used[j] or len(orbit1) != len(orbit2):
-                continue
-            base = orbit1[0]
-            # look for a target point with exactly the same stabilizer
-            for q in orbit2:
-                if T2.stabilizer(q).members != stab1.members:
-                    continue
-                ok = True
-                for h in H.members:
-                    p_img = T1.act_of(h)[base]
-                    q_img = T2.act_of(h)[q]
-                    if mapping[p_img] is None:
-                        mapping[p_img] = q_img
-                    elif mapping[p_img] != q_img:
-                        ok = False
-                        break
-                if ok:
-                    used[j] = True
-                    placed = True
-                    break
-                for p in orbit1:
-                    mapping[p] = None
-            if placed:
-                break
-        if not placed:
-            return None
-    if any(m is None for m in mapping):
-        return None
-    return tuple(mapping)
-
-
 def orbit_types(lat: SubgroupLattice, h_id: int, n: int
                 ) -> list[tuple[int, ...]]:
     """The orbit types of n-point H-sets, one per isomorphism class.
@@ -803,13 +725,6 @@ class GraphSubgroup:
     hset: FiniteGSet
     pairs: frozenset[tuple[int, Perm]]
 
-    def sigma(self, h: int) -> Perm:
-        return self.hset.act_of(h)
-
-    @property
-    def order(self) -> int:
-        return len(self.pairs)
-
     def __repr__(self) -> str:
         return (f"GraphSubgroup({self.group.name}xS{self.arity}, "
                 f"H={list(self.subgroup.members)})")
@@ -820,25 +735,6 @@ def graph_subgroup(G: Group, H: Subgroup, T: FiniteGSet) -> GraphSubgroup:
         raise GroupError("graph subgroup needs a left H-set over a subgroup of G")
     pairs = frozenset((h, T.act_of(h)) for h in H.members)
     return GraphSubgroup(G, T.size, H, T, pairs)
-
-
-def is_subconjugate(g1: GraphSubgroup, g2: GraphSubgroup) -> bool:
-    """Whether g1 is subconjugate to g2 inside G x Sigma_n.
-
-    Holds iff some g in G moves the witness of g1 inside the conjugated,
-    restricted witness of g2: H1 <= g H2 g^-1 and T1 iso to res c_g T2.
-    """
-    if g1.group != g2.group or g1.arity != g2.arity:
-        return False
-    G = g1.group
-    for g in G.elements():
-        conj = g2.subgroup.conjugate(g)
-        if not conj.contains(g1.subgroup):
-            continue
-        moved = g2.hset.conjugate(g).restrict(g1.subgroup)
-        if are_isomorphic(g1.hset, moved):
-            return True
-    return False
 
 
 def graph_conjugacy_label(gs: GraphSubgroup):

@@ -8,17 +8,13 @@ system is the canonical encoding and membership is decided orbitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
 from .groups import (
     FiniteGSet,
     GroupError,
     Subgroup,
     SubgroupLattice,
-    graph_subgroup,
-    hsets_up_to_iso,
-    is_subconjugate,
-    iso_key,
+    double_cosets,
     lattice_of,
     orbit_types,
 )
@@ -58,44 +54,37 @@ class AdmissibleClass:
     lattice: SubgroupLattice = field(compare=False, repr=False, hash=False)
     entries: frozenset[tuple[int, tuple[int, ...]]] = frozenset()
 
-    def to_json(self) -> list:
-        return [{"H": h, "orbits": list(orbits)}
-                for h, orbits in sorted(self.entries)]
 
+def admissible_sets_of_symseq(symseq) -> AdmissibleClass:
+    """All (L, T) admitted by an orbit-presented symmetric sequence.
 
-def hset_entry(lat: SubgroupLattice, H: Subgroup, T: FiniteGSet
-               ) -> tuple[int, tuple[int, ...]]:
-    return (lat.id_of(H), iso_key(T))
-
-
-def admissible_sets_of_symseq(symseq, window: Optional[Iterable[int]] = None
-                              ) -> AdmissibleClass:
-    """All (H, T) admitted by an orbit-presented symmetric sequence.
-
-    A level admits T when the graph subgroup of T is subconjugate to the
-    stabilizer of one of the level's orbits.  Levels absent from the
-    sequence admit nothing, so the window defaults to the materialized
-    arities.
+    A level admits the L-set T when the graph of T is subconjugate to one of
+    the level's orbits Gamma(H, T_H): for some g in G, L <= gHg^-1 and T is
+    the restriction of the conjugated set c_g T_H.  Each orbit gHg^-1/K' of
+    c_g T_H restricts to L by the double-coset formula, one orbit
+    L/(L & rK'r^-1) per r in L\\gHg^-1/K', so T is known by its orbit
+    types without building an action table.  Levels absent from the
+    sequence admit nothing.
     """
     G = symseq.group
     lat = lattice_of(G)
-    arities = sorted(symseq.levels)
-    if window is not None:
-        window = set(window)
-        missing = window - set(arities)
-        if missing:
-            raise GroupError(
-                f"window requests arities {sorted(missing)} outside the "
-                f"materialized levels {arities}")
-        arities = sorted(window)
     entries = set()
-    for n in arities:
-        orbits = symseq.levels[n]
-        for H in lat.subgroups:
-            for T in hsets_up_to_iso(H, n):
-                gamma = graph_subgroup(G, H, T)
-                if any(is_subconjugate(gamma, orb) for orb in orbits):
-                    entries.add(hset_entry(lat, H, T))
+    for orbits in symseq.levels.values():
+        for orb in orbits:
+            h_id = lat.id_of(orb.subgroup)
+            stabs = orb.hset.stabilizer_ids
+            for gh, gks in {(c[h_id], tuple(c[k] for k in stabs))
+                            for c in lat.conj_table}:
+                Hg = lat.subgroups[gh]
+                for l_id in lat.ids_below(gh):
+                    L = lat.subgroups[l_id]
+                    key = sorted(
+                        lat.hclass_rep(l_id, lat.meet_table[l_id][
+                            lat.conj_table[r][k]])
+                        for k in gks
+                        for r in double_cosets(G, L, lat.subgroups[k])
+                        if r in Hg)
+                    entries.add((l_id, tuple(key)))
     return AdmissibleClass(lat, frozenset(entries))
 
 
@@ -114,17 +103,15 @@ def generated_transfer(cls: AdmissibleClass) -> TransferSystem:
     return generate_pairs(cls.lattice, pairs)
 
 
-def admissible_class_of_transfer(t: TransferSystem,
-                                 max_size: Optional[int] = None
-                                 ) -> AdmissibleClass:
-    """The admissible H-sets of a transfer system up to a size bound.
+def admissible_class_of_transfer(t: TransferSystem) -> AdmissibleClass:
+    """The admissible H-sets of a transfer system with at most |G| points.
 
-    Decided on orbit types alone; the bound defaults to the group order.
+    Decided on orbit types alone.
     """
     lat = t.lattice
-    bound = max_size if max_size is not None else lat.group.order
     entries = {(h_id, key)
-               for h_id in range(lat.count) for n in range(bound + 1)
+               for h_id in range(lat.count)
+               for n in range(lat.group.order + 1)
                for key in orbit_types(lat, h_id, n)
                if all(t.has(k, h_id) for k in key)}
     return AdmissibleClass(lat, frozenset(entries))

@@ -2,17 +2,16 @@
 
 Free (marked) operads are never materialized: a symmetric sequence of free
 orbits with graph-subgroup stabilizers determines the transfer system, and
-that is all admissibility needs.  Only the coinduced associativity operads
-get explicit levels, under a size guard.
+that is all admissibility needs.  Only the direct pullback that checks the
+double-coset formula materializes a level, under DEFAULT_LEVEL_GUARD.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .functors import LawReport, image_L, image_R, preimage_L
 from .groups import (
@@ -29,7 +28,6 @@ from .groups import (
     full_subgroup,
     graph_conjugacy_label,
     graph_subgroup,
-    hset_of_orbits,
     identity_perm,
     invert,
     lattice_of,
@@ -41,7 +39,7 @@ DEFAULT_LEVEL_GUARD = 200_000
 
 
 class MaterializationError(RuntimeError):
-    """A level was too large to materialize under the configured guard."""
+    """A level was too large to materialize under DEFAULT_LEVEL_GUARD."""
 
 
 @dataclass
@@ -61,10 +59,6 @@ class SymmetricSequence:
             for orb in orbits:
                 if orb.group != self.group or orb.arity != n:
                     raise GroupError("orbit does not match its level")
-
-    @property
-    def window(self) -> tuple[int, ...]:
-        return tuple(sorted(self.levels))
 
     def union(self, other: "SymmetricSequence") -> "SymmetricSequence":
         if self.group != other.group:
@@ -148,36 +142,6 @@ class CoindAsOperad:
                     return False
         return True
 
-    def level(self, n: int, guard: int = DEFAULT_LEVEL_GUARD
-              ) -> list[tuple[Perm, ...]]:
-        """Materialized level n: all assignments of a permutation to each
-        point of X."""
-        count = math.factorial(n) ** self.xset.size
-        if count > guard:
-            raise MaterializationError(
-                f"level {n} has {count} elements, over the guard {guard}; "
-                "use the admits criterion instead")
-        perms = sorted(itertools.permutations(range(n)))
-        return [tuple(choice) for choice in
-                itertools.product(perms, repeat=self.xset.size)]
-
-    def fixed_count(self, gamma: GraphSubgroup,
-                    guard: int = DEFAULT_LEVEL_GUARD) -> int:
-        """Number of Gamma-fixed points of the materialized level; the
-        consistency oracle for the admits criterion."""
-        n = gamma.arity
-        elements = self.level(n, guard)
-        pairs = [(g, invert(sigma)) for g, sigma in gamma.pairs]
-        count = 0
-        for alpha in elements:
-            if all(
-                tuple(compose(alpha[self.xset.apply(g, x)], sigma_inv)
-                      for x in range(self.xset.size)) == alpha
-                for g, sigma_inv in pairs
-            ):
-                count += 1
-        return count
-
     def transfer(self) -> TransferSystem:
         """Transfer system read off the criterion over all orbit pairs."""
         from .transfer import rel_from_pairs, validate
@@ -254,8 +218,7 @@ def restrict_symseq_predicted(f: Homomorphism, S: SymmetricSequence
     return SymmetricSequence(G, levels)
 
 
-def _direct_pullback_labels(f: Homomorphism, orb: GraphSubgroup,
-                            guard: int) -> list:
+def _direct_pullback_labels(f: Homomorphism, orb: GraphSubgroup) -> list:
     """Orbit stabilizer labels of the direct pullback of one free orbit.
 
     Materializes (G' x Sigma_n)/Gamma, lets G x Sigma_n act through
@@ -264,7 +227,7 @@ def _direct_pullback_labels(f: Homomorphism, orb: GraphSubgroup,
     """
     G, Gp, n = f.source, f.target, orb.arity
     total = Gp.order * math.factorial(n)
-    if total > guard:
+    if total > DEFAULT_LEVEL_GUARD:
         raise MaterializationError(
             f"pullback of a level-{n} orbit needs {total} elements")
     H = orb.subgroup
@@ -320,25 +283,7 @@ def _direct_pullback_labels(f: Homomorphism, orb: GraphSubgroup,
     return sorted(labels)
 
 
-def restrict_symseq(f: Homomorphism, S: SymmetricSequence,
-                    check: bool = True,
-                    guard: int = DEFAULT_LEVEL_GUARD
-                    ) -> tuple[SymmetricSequence, Optional[LawReport]]:
-    """Pull a generator sequence back along f.
-
-    Returns the double-coset prediction together with the report of the
-    direct-pullback stabilizer comparison (None when the check is off).
-    """
-    predicted = restrict_symseq_predicted(f, S)
-    report = double_coset_check(f, S, guard) if check else None
-    if report is not None and not report.passed:
-        raise GroupError(f"double-coset prediction mismatch: "
-                         f"{report.counterexample}")
-    return predicted, report
-
-
-def double_coset_check(f: Homomorphism, S: SymmetricSequence,
-                       guard: int = DEFAULT_LEVEL_GUARD) -> LawReport:
+def double_coset_check(f: Homomorphism, S: SymmetricSequence) -> LawReport:
     """Predicted summand stabilizers versus the direct pullback, orbit by
     orbit, compared up to conjugacy in G x Sigma_n."""
     checked = 0
@@ -349,7 +294,7 @@ def double_coset_check(f: Homomorphism, S: SymmetricSequence,
             predicted = sorted(
                 graph_conjugacy_label(_pullback_orbit(f, r, orb))
                 for r in double_cosets(f.target, imf, orb.subgroup))
-            direct = _direct_pullback_labels(f, orb, guard)
+            direct = _direct_pullback_labels(f, orb)
             if predicted != direct:
                 return LawReport("double-coset decomposition", checked,
                                  {"level": n,
@@ -477,58 +422,3 @@ def theoremB_coind_check(G: Group) -> LawReport:
                              {"H": list(H.members), "got": got.pairs(),
                               "want": want.pairs()})
     return LawReport("transfer(Set(H\\G, As)) = iR(discrete)", checked)
-
-
-# ---------------------------------------------------------------------------
-# wire format
-
-
-def symseq_to_json(S: SymmetricSequence) -> dict:
-    from .catalog import group_to_json
-
-    lat = lattice_of(S.group)
-    levels = {}
-    for n, orbits in sorted(S.levels.items()):
-        levels[str(n)] = [
-            {"H": lat.id_of(orb.subgroup),
-             "orbits": sorted(orb.hset.stabilizer_ids)}
-            for orb in orbits
-        ]
-    return {"group": group_to_json(S.group), "levels": levels}
-
-
-def symseq_from_json(data, group: Optional[Group] = None) -> SymmetricSequence:
-    """Read the wire format; each orbit spec gives the id of H and, per
-    orbit, the id of the stabilizer of its least point."""
-    from .catalog import group_from_json, json_field
-
-    G = group if group is not None else group_from_json(
-        json_field(data, "group", "symseq"))
-    lat = lattice_of(G)
-
-    def subgroup(x) -> Subgroup:
-        if type(x) is not int or not 0 <= x < lat.count:
-            raise GroupError(f"subgroup id {x!r} is not an int in "
-                             f"range({lat.count})")
-        return lat.subgroups[x]
-
-    levels: dict[int, list[GraphSubgroup]] = {}
-    for n_str, orbits in json_field(data, "levels", "symseq", dict).items():
-        if not isinstance(orbits, list):
-            raise GroupError(f"symseq level {n_str!r} must be a list of "
-                             f"orbit specs, got {type(orbits).__name__}")
-        if not re.fullmatch(r"0|[1-9][0-9]*", n_str):
-            raise GroupError(f"symseq level key {n_str!r} is not a "
-                             "non-negative int in decimal form")
-        n = int(n_str)
-        out = []
-        for spec in orbits:
-            H = subgroup(json_field(spec, "H", "orbit spec"))
-            T = hset_of_orbits(H, map(subgroup, json_field(
-                spec, "orbits", "orbit spec", list)))
-            if T.size != n:
-                raise GroupError(
-                    f"orbit sizes sum to {T.size}, level says {n}")
-            out.append(graph_subgroup(G, H, T))
-        levels[n] = tuple(out)
-    return SymmetricSequence(G, levels)

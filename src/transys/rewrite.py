@@ -91,8 +91,7 @@ class SymbolPool:
                  x_identity: Optional[OpSymbol] = None,
                  y_identity: Optional[OpSymbol] = None,
                  compose_table: Optional[dict] = None,
-                 z: Optional[OpSymbol] = None,
-                 validate: bool = True):
+                 z: Optional[OpSymbol] = None):
         self.group = group
         self.symbols = tuple(symbols)
         self.g_action = dict(g_action)
@@ -100,8 +99,7 @@ class SymbolPool:
         self.y_identity = y_identity
         self.compose_table = dict(compose_table or {})
         self.z = z
-        if validate:
-            self.validate()
+        self.validate()
 
     def act(self, g: int, sym: OpSymbol) -> tuple[OpSymbol, Perm]:
         return self.g_action[(sym, g)]
@@ -140,23 +138,10 @@ class SymbolPool:
 # term basics
 
 
-def var_indices(t: Term) -> list[int]:
-    if isinstance(t, Var):
-        return [t.index]
-    out = []
-    for c in t.children:
-        out.extend(var_indices(c))
-    return out
-
-
 def symbol_count(t: Term) -> int:
     if isinstance(t, Var):
         return 0
     return 1 + sum(symbol_count(c) for c in t.children)
-
-
-def is_operadic(t: Term) -> bool:
-    return sorted(var_indices(t)) == list(range(1, term_arity(t) + 1))
 
 
 def term_arity(t: Term) -> int:
@@ -222,40 +207,6 @@ def format_term(t: Term) -> str:
     return f"({t.symbol.name} {inner})"
 
 
-def parse_term(text: str, pool: SymbolPool) -> Term:
-    by_name = {s.name: s for s in pool.symbols}
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse() -> Term:
-        nonlocal pos
-        tok = tokens[pos]
-        if tok == "(":
-            pos += 1
-            head = tokens[pos]
-            if head not in by_name:
-                raise RewriteError(f"unknown symbol {head!r}")
-            sym = by_name[head]
-            pos += 1
-            children = []
-            while tokens[pos] != ")":
-                children.append(parse())
-            pos += 1
-            if len(children) != sym.arity:
-                raise RewriteError(
-                    f"{sym.name} takes {sym.arity} arguments, got {len(children)}")
-            return App(sym, tuple(children))
-        if tok.startswith("x"):
-            pos += 1
-            return Var(int(tok[1:]))
-        raise RewriteError(f"unexpected token {tok!r}")
-
-    out = parse()
-    if pos != len(tokens):
-        raise RewriteError("trailing input after term")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the two reduction systems
 
@@ -281,11 +232,6 @@ class Step:
     path: Path
     before: Term
     after: Term
-
-    def to_json(self) -> dict:
-        return {"rule": self.rule, "path": list(self.path),
-                "before": format_term(self.before),
-                "after": format_term(self.after)}
 
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:
@@ -398,10 +344,6 @@ def complexity(pool: SymbolPool, t: Term, mode: RewriteMode) -> int:
         return total + sum(walk(c, depth + 1) for c in s.children)
 
     return walk(t, 0)
-
-
-def is_reduced(pool: SymbolPool, t: Term, mode: RewriteMode) -> bool:
-    return next(_redexes(pool, t, mode), None) is None
 
 
 def reduce_term(pool: SymbolPool, t: Term, mode: RewriteMode,
@@ -603,11 +545,10 @@ def as_pool(G: Group, max_arity: int, factor: str = "X") -> SymbolPool:
                       compose_table=comp)
 
 
-def marked_symbols(G: Group, factor: str, start: int = 0
-                   ) -> tuple[list[OpSymbol], dict]:
+def marked_symbols(G: Group, factor: str) -> tuple[list[OpSymbol], dict]:
     """The marked nullary and binary generators, G-fixed."""
-    u = OpSymbol(factor, start, 0)
-    p = OpSymbol(factor, start + 1, 2)
+    u = OpSymbol(factor, 0, 0)
+    p = OpSymbol(factor, 1, 2)
     action = {(s, g): (s, identity_perm(s.arity))
               for s in (u, p) for g in G.elements()}
     return [u, p], action
@@ -801,11 +742,6 @@ class AdmissibilityWitness:
     normal_form: Term
     mode: str
     verified: bool
-
-    def to_json(self) -> dict:
-        return {"pair": list(self.pair), "term": format_term(self.term),
-                "normal_form": format_term(self.normal_form),
-                "mode": self.mode, "verified": self.verified}
 
 
 class WitnessFactory:

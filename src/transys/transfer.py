@@ -4,7 +4,7 @@ A transfer system is a mask over the pairs K < H of subgroup ids: pair
 (K, H) is bit ``K * n + H``, its place in the row-major relation matrix.
 Every lattice operation runs on masks (`_Core`, built once per lattice).
 A boolean matrix is only the input form, which `validate` scans for exact
-witnesses; `TransferSystem.rel` and `flat` are views derived from the mask.
+witnesses; `TransferSystem.rel` is a view derived from the mask.
 """
 
 from __future__ import annotations
@@ -140,9 +140,6 @@ class TransferSystem:
         n = range(self.lattice.count)
         return tuple(tuple(self.has(i, j) for j in n) for i in n)
 
-    def flat(self) -> tuple[bool, ...]:
-        return tuple(v for row in self.rel for v in row)
-
     def __repr__(self) -> str:
         return f"TransferSystem({self.group.name}, {self.pairs()})"
 
@@ -192,8 +189,8 @@ class _Core:
     """What closing a mask of pairs K < H needs to know of one lattice.
 
     Pair (K, H) is bit ``K * n + H``, its place in the row-major relation
-    matrix, so comparing two masks from the lowest bit up compares their
-    `TransferSystem.flat` tuples.  The diagonal is implicit.
+    matrix, so comparing two masks from the lowest bit up compares the
+    systems in row-major relation-matrix order.  The diagonal is implicit.
     """
 
     def __init__(self, lat: SubgroupLattice):
@@ -307,13 +304,14 @@ def join(s: TransferSystem, t: TransferSystem) -> TransferSystem:
 def enumerate_transfer_systems(G: Group,
                                budget: int = DEFAULT_BUDGET
                                ) -> tuple[TransferSystem, ...]:
-    """All transfer systems on G in canonical (flattened matrix) order.
+    """All transfer systems on G in canonical (row-major relation-matrix)
+    order.
 
     Transfer systems are the closed sets of `generate`, so Ganter's
     NextClosure lists them in lectic order over the pair bits, with at
     most one closure per pair for each system.  The bits run in row-major
-    matrix order, which makes the lectic order that of
-    `TransferSystem.flat`.  ``budget`` caps the number of closures.
+    matrix order, which makes the lectic order the row-major
+    relation-matrix order.  ``budget`` caps the number of closures.
     """
     if budget < 0:
         raise ValueError(f"budget must be a non-negative number of "
@@ -407,16 +405,13 @@ def ts_from_json(data, group: Optional[Group] = None) -> TransferSystem:
     return validate(*rel_from_json(data, group))
 
 
-def hasse_dot(systems: Sequence[TransferSystem],
-              covers: Optional[Sequence[tuple[int, int]]] = None) -> str:
+def hasse_dot(systems: Sequence[TransferSystem]) -> str:
     """DOT rendering of the lattice; edges point up the refinement order."""
-    if covers is None:
-        covers = hasse(systems)
     lines = ["digraph transfer_lattice {", "  rankdir=BT;"]
     for i, t in enumerate(systems):
         label = ",".join(f"{a}<{b}" for a, b in t.pairs()) or "discrete"
         lines.append(f'  n{i} [label="{label}"];')
-    for a, b in covers:
+    for a, b in hasse(systems):
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines)

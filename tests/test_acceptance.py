@@ -181,8 +181,8 @@ def test_criterion_02_meet_join_are_glb_lub():
                          if leq[c][a] and leq[c][b]]
                 upper = [c for c in range(len(systems))
                          if leq[a][c] and leq[b][c]]
-                glb = max(lower, key=lambda c: sum(systems[c].flat()))
-                lub = min(upper, key=lambda c: sum(systems[c].flat()))
+                glb = max(lower, key=lambda c: len(systems[c].pairs()))
+                lub = min(upper, key=lambda c: len(systems[c].pairs()))
                 assert m.rel == systems[glb].rel
                 assert j.rel == systems[lub].rel
                 assert all(leq[c][glb] for c in lower)

@@ -129,6 +129,21 @@ def test_ts_catalog_group_values_of_the_wrong_type_rejected(tmp_path, capsys):
     assert "group key 'factors' must be a list" in err
 
 
+@pytest.mark.parametrize("name", ["C3000", "S6", "D1500"])
+def test_group_over_the_order_cap_rejected(name, capsys):
+    # used to build the whole Cayley table first (C3000: 1.5 s, 336 MB)
+    code, out, err = run(capsys, "group", "show", "--group", name)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert "exceeds supported maximum 24" in err
+
+
+def test_ts_group_over_the_order_cap_rejected(tmp_path, capsys):
+    err = _missing_key(tmp_path, capsys,
+                       {"group": {"kind": "cyclic", "n": 3000}, "pairs": []},
+                       "ts", "validate")
+    assert "order 3000 exceeds supported maximum 24" in err
+
+
 def test_ts_negative_pair_id_rejected(tmp_path, capsys):
     # -1 used to index from the end and read as the pair (0, 2)
     rel = tmp_path / "neg.json"

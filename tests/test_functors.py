@@ -15,7 +15,6 @@ from transys.functors import (
     image_R,
     preimage_L,
     preimage_R,
-    raw_pullback,
     verify_functoriality,
 )
 from transys.groups import GroupError, identity_hom, lattice_of
@@ -24,6 +23,7 @@ from transys.transfer import (
     discrete,
     enumerate_transfer_systems,
     rel_from_pairs,
+    validate,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "c4_to_s3_functors.json"
@@ -228,6 +228,16 @@ def test_non_composable_rejected():
     with pytest.raises(GroupError):
         verify_functoriality(catalog_hom("C4_to_S3"), catalog_hom("C2_into_C4"),
                              [], [])
+
+
+def raw_pullback(m, t):
+    """The plain pullback of t along m, validated: for injective m it is
+    already a transfer system."""
+    lat = lattice_of(m.source)
+    pairs = [(i, j) for i, row in enumerate(lat.leq)
+             for j, below in enumerate(row)
+             if below and t.has(m.image_ids[i], m.image_ids[j])]
+    return validate(lat, rel_from_pairs(lat.count, pairs))
 
 
 def test_injective_collapse_and_raw_pullback():

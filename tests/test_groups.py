@@ -2,13 +2,16 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from transys.catalog import group_by_name, group_from_json
 from transys.groups import (
     FiniteGSet,
     Group,
     GroupError,
+    Homomorphism,
     Subgroup,
     all_subgroups,
     compose,
@@ -22,22 +25,21 @@ from transys.groups import (
     generated_subgroup,
     graph_subgroup,
     graph_conjugacy_label,
-    hom,
-    hset_isomorphism,
+    hset_of_orbits,
     hsets_up_to_iso,
     identity_hom,
     identity_perm,
     induce_hset,
     invert,
-    is_subconjugate,
     iso_key,
     lattice_of,
     make_group,
     right_coset_gset,
     symmetric_group,
-    trivial_hset,
     trivial_subgroup,
 )
+from transys.indexing import admissible_sets_of_symseq
+from transys.operads import SymmetricSequence
 
 
 def test_make_group_catalog():
@@ -59,6 +61,24 @@ def test_make_group_rejects_bad_kinds():
         make_group("cyclic", 0)
     with pytest.raises(GroupError):
         make_group("cyclic", 25)  # above the validated order cap
+
+
+def test_order_cap_checked_before_any_table_is_built():
+    # C3000 used to build its 3000 x 3000 table before the order check
+    oversized = [lambda: group_by_name("C3000"), lambda: group_by_name("S6"),
+                 lambda: group_by_name("D1500"),
+                 lambda: group_by_name("C24xC24"),
+                 lambda: group_from_json({"kind": "cyclic", "n": 3000})]
+    for build in oversized:
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupError,
+                               match="exceeds supported maximum 24"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 def test_group_table_validation():
@@ -95,7 +115,7 @@ def test_hom_and_action_tables_reject_non_int_entries():
     C2, C4 = cyclic_group(2), cyclic_group(4)
     for bad in ((0, 2.0), (0, 2.5), (False, 2)):
         with pytest.raises(GroupError, match="not a target element id"):
-            hom(C2, C4, bad)
+            Homomorphism(C2, C4, bad)
     full = full_subgroup(C2)
     for bad in (((0, 1), (1.0, 0)), ((0, 1), (True, False))):
         with pytest.raises(GroupError, match="as ints"):
@@ -154,18 +174,18 @@ def test_conjugation():
 
 def test_intersection_is_subgroup():
     K4 = make_group("klein_four")
-    subs = all_subgroups(K4)
-    for a in subs:
-        for b in subs:
-            meet = a.intersect(b)
-            assert meet.member_set == a.member_set & b.member_set
+    lat = lattice_of(K4)
+    for i, a in enumerate(lat.subgroups):
+        for j, b in enumerate(lat.subgroups):
+            meet = Subgroup(K4, tuple(a.member_set & b.member_set))
+            assert lat.subgroups[lat.meet_table[i][j]] == meet
 
 
 def test_hom_validation_reports_offending_pair():
     C4 = cyclic_group(4)
     C2 = cyclic_group(2)
     with pytest.raises(GroupError, match=r"\(1,1\)"):
-        hom(C4, C2, (0, 1, 1, 0))
+        Homomorphism(C4, C2, (0, 1, 1, 0))
 
 
 def test_kernel_and_images():
@@ -177,10 +197,14 @@ def test_kernel_and_images():
     assert f.kernel().members == (0, 2)
     # preimage of the trivial subgroup under C4 ->> C2 is the kernel
     q = cyclic_hom(C4, cyclic_group(2), 1)
-    assert q.preimage_subgroup(trivial_subgroup(q.target)).members \
-        == q.kernel().members
+    src, tgt = lattice_of(C4), lattice_of(q.target)
+
+    def preimage(H):
+        return src.subgroups[q.preimage_ids[tgt.id_of(H)]]
+
+    assert preimage(trivial_subgroup(q.target)).members == q.kernel().members
     H = Subgroup(C4, (0, 2))
-    assert q.preimage_subgroup(q.image_subgroup(H)).contains(H)
+    assert preimage(q.image_subgroup(H)).contains(H)
 
 
 def test_double_cosets_partition():
@@ -201,27 +225,35 @@ def test_double_cosets_partition():
         assert not (a & b)
 
 
+def _stabilizer(T, x):
+    return tuple(g for g in T.subgroup.members if T.act_of(g)[x] == x)
+
+
 def test_orbit_stabilizer():
     C4 = cyclic_group(4)
     full = full_subgroup(C4)
     # left translation: one orbit, trivial stabilizers
     reg = coset_hset(full, trivial_subgroup(C4))
     assert len(reg.orbits()) == 1
-    assert reg.stabilizer(0).members == (0,)
+    assert _stabilizer(reg, 0) == (0,)
     # C4 on C4/C2: two points, both stabilized by C2
     T = coset_hset(full, Subgroup(C4, (0, 2)))
     assert T.size == 2
     for x in range(2):
-        assert T.stabilizer(x).members == (0, 2)
+        assert _stabilizer(T, x) == (0, 2)
     # trivial action: orbit per point, stabilizer everything
-    triv = trivial_hset(full, 3)
+    triv = hset_of_orbits(full, (full,) * 3)
     assert len(triv.orbits()) == 3
-    assert triv.fixed_points(full) == (0, 1, 2)
-    # |orbit| * |stab| = |H| across the board
+    assert all(_stabilizer(triv, x) == full.members for x in range(3))
+    # |orbit| * |stab| = |H| across the board, and stabilizer_ids names
+    # the stabilizer of each orbit's least point
     for H in all_subgroups(symmetric_group(3)):
+        lat = lattice_of(H.group)
         for T in hsets_up_to_iso(H, 3):
-            for orbit, stab in T.orbit_stabilizers():
-                assert len(orbit) * stab.order == H.order
+            for orbit, k in zip(T.orbits(), T.stabilizer_ids):
+                stab = _stabilizer(T, orbit[0])
+                assert lat.id_of_members(stab) == k
+                assert len(orbit) * len(stab) == H.order
 
 
 def test_action_law_validation():
@@ -277,8 +309,8 @@ def test_graph_subgroup_basics():
     full = full_subgroup(C4)
     C2_in_C4 = Subgroup(C4, (0, 2))
     # trivial T: Gamma = H x {id}
-    gs = graph_subgroup(C4, full, trivial_hset(full, 3))
-    assert gs.order == 4
+    gs = graph_subgroup(C4, full, hset_of_orbits(full, (full,) * 3))
+    assert len(gs.pairs) == 4
     assert all(sigma == identity_perm(3) for _, sigma in gs.pairs)
     # C2 acting on itself: generator goes to the swap
     C2 = cyclic_group(2)
@@ -288,7 +320,7 @@ def test_graph_subgroup_basics():
     # C4 on C4/C2: order-4 graph with generator over the swap
     T = coset_hset(full, C2_in_C4)
     gs = graph_subgroup(C4, full, T)
-    assert gs.order == 4
+    assert len(gs.pairs) == 4
     assert (1, (1, 0)) in gs.pairs
 
 
@@ -305,15 +337,20 @@ def test_graph_subgroups_of_isomorphic_hsets_are_conjugate():
                 tuple(relabel[row[inv[x]]] for x in range(T.size))
                 for row in T.act)
             T2 = FiniteGSet(H, T.size, rows)
-            phi = hset_isomorphism(T, T2)
-            assert phi is not None
+            assert iso_key(T2) == iso_key(T)
+            # the relabelling is the isomorphism T -> T2
+            phi = tuple(relabel)
             g1 = graph_subgroup(S3, H, T)
             g2 = graph_subgroup(S3, H, T2)
             conj = {(h, compose(phi, compose(sigma, invert(phi))))
                     for h, sigma in g1.pairs}
             assert conj == set(g2.pairs)
             assert graph_conjugacy_label(g1) == graph_conjugacy_label(g2)
-            assert is_subconjugate(g1, g2) and is_subconjugate(g2, g1)
+            # each graph is subconjugate to the other
+            entry = (lattice_of(S3).id_of(H), iso_key(T))
+            for orb in (g1, g2):
+                level = SymmetricSequence(S3, {T.size: (orb,)})
+                assert entry in admissible_sets_of_symseq(level).entries
 
 
 def _materialized_fixed_points(G, gamma_small, gamma_big):
@@ -336,16 +373,20 @@ def _materialized_fixed_points(G, gamma_small, gamma_big):
 
 
 def test_subconjugacy_matches_materialized_orbits():
-    """is_subconjugate decides nonemptiness of fixed points of free orbits."""
-    C4 = cyclic_group(4)
-    lat = lattice_of(C4)
-    for n in (1, 2, 3):
-        gammas = [graph_subgroup(C4, H, T)
-                  for H in lat.subgroups for T in hsets_up_to_iso(H, n)]
-        for g1 in gammas:
+    """A one-orbit sequence admits exactly the graphs with fixed points
+    on its free orbit."""
+    for G in (cyclic_group(4), symmetric_group(3)):
+        lat = lattice_of(G)
+        for n in (1, 2, 3):
+            gammas = [graph_subgroup(G, H, T)
+                      for H in lat.subgroups for T in hsets_up_to_iso(H, n)]
             for g2 in gammas:
-                oracle = _materialized_fixed_points(C4, g1, g2) > 0
-                assert is_subconjugate(g1, g2) == oracle, (g1, g2)
+                admitted = admissible_sets_of_symseq(
+                    SymmetricSequence(G, {n: (g2,)})).entries
+                for g1 in gammas:
+                    oracle = _materialized_fixed_points(G, g1, g2) > 0
+                    entry = (lat.id_of(g1.subgroup), iso_key(g1.hset))
+                    assert (entry in admitted) == oracle, (g1, g2)
 
 
 def test_induce_hset():

@@ -4,7 +4,9 @@ The oracles below are the earlier implementations, kept in behaviour: four
 separate coset enumerations over frozenset cosets (`coset_hset`,
 `right_coset_gset`, `induce_hset`, `orbit_symbols`), `hsets_up_to_iso` as a
 chain of validated disjoint unions, the member-tuple `iso_key`, and
-`admissible_class_of_transfer` as `admits` over every enumerated H-set.
+`admissible_class_of_transfer` as `admits` over every enumerated H-set,
+and `admissible_sets_of_symseq` as a subconjugacy test on the graph of
+every enumerated H-set, conjugating and restricting action tables.
 """
 
 import random
@@ -14,17 +16,22 @@ import pytest
 from transys.catalog import group_by_name
 from transys.groups import (
     FiniteGSet,
+    Subgroup,
     coset_hset,
     full_subgroup,
+    graph_subgroup,
+    hset_of_orbits,
     hsets_up_to_iso,
     induce_hset,
     invert,
     iso_key,
     lattice_of,
     right_coset_gset,
-    trivial_hset,
 )
-from transys.indexing import admissible_class_of_transfer
+from transys.indexing import (
+    admissible_class_of_transfer,
+    admissible_sets_of_symseq,
+)
 from transys.operads import free_model
 from transys.rewrite import OpSymbol, orbit_symbols
 from transys.transfer import enumerate_transfer_systems
@@ -119,10 +126,16 @@ def old_hsets_up_to_iso(H, n):
     return tuple(results)
 
 
+def old_orbit_stabilizers(T):
+    return [(orbit, Subgroup(T.group, tuple(
+        g for g in T.subgroup.members if T.act_of(g)[orbit[0]] == orbit[0])))
+        for orbit in T.orbits()]
+
+
 def old_iso_key(T):
     H = T.subgroup
     return tuple(sorted(min(stab.conjugate(h).members for h in H.members)
-                        for _, stab in T.orbit_stabilizers()))
+                        for _, stab in old_orbit_stabilizers(T)))
 
 
 def old_orbit_symbols(orb, factor, start):
@@ -154,7 +167,7 @@ def test_action_tables_match_seed(name):
     for H in lat.subgroups:
         assert _same(right_coset_gset(G, H), old_right_coset_gset(G, H))
         for n in range(4):
-            assert _same(trivial_hset(H, n),
+            assert _same(hset_of_orbits(H, (H,) * n),
                          FiniteGSet(H, n, tuple(tuple(range(n))
                                                 for _ in H.members)))
         for n in range(5):
@@ -170,12 +183,13 @@ def test_action_tables_match_seed(name):
 
 
 def _old_entries(lat, bound):
-    """(H id, per-orbit stabilizer ids, hset_entry) of every seed H-set."""
+    """(H id, per-orbit stabilizer ids, entry) of every seed H-set."""
     out = []
     for h_id, H in enumerate(lat.subgroups):
         for n in range(bound + 1):
             for T in old_hsets_up_to_iso(H, n):
-                stabs = [lat.id_of(stab) for _, stab in T.orbit_stabilizers()]
+                stabs = [lat.id_of(stab)
+                         for _, stab in old_orbit_stabilizers(T)]
                 key = tuple(sorted(lat.hclass_rep(h_id, s) for s in stabs))
                 out.append((h_id, stabs, (h_id, key)))
     return out
@@ -191,8 +205,6 @@ def test_admissible_classes_match_seed(name):
                         if all(t.has(s, h_id) for s in stabs))
         cls = admissible_class_of_transfer(t)
         assert cls.entries == old
-        assert cls.to_json() == [{"H": h, "orbits": list(o)}
-                                 for h, o in sorted(old)]
 
 
 def _relabel(T, rng):
@@ -234,3 +246,57 @@ def test_orbit_symbols_match_seed(name):
             for orb in orbs:
                 assert orbit_symbols(orb, "X", 2) \
                     == old_orbit_symbols(orb, "X", 2)
+
+
+def old_restrict(T, L):
+    return FiniteGSet(L, T.size, tuple(T.act_of(g) for g in L.members))
+
+
+def old_are_isomorphic(T1, T2):
+    return (T1.subgroup == T2.subgroup and T1.size == T2.size
+            and iso_key(T1) == iso_key(T2))
+
+
+def old_is_subconjugate(g1, g2):
+    """Whether g1 is subconjugate to g2 inside G x Sigma_n: some g in G has
+    H1 <= g H2 g^-1 and T1 iso to res c_g T2."""
+    if g1.group != g2.group or g1.arity != g2.arity:
+        return False
+    for g in g1.group.elements():
+        if not g2.subgroup.conjugate(g).contains(g1.subgroup):
+            continue
+        moved = old_restrict(g2.hset.conjugate(g), g1.subgroup)
+        if old_are_isomorphic(g1.hset, moved):
+            return True
+    return False
+
+
+def old_admissible_sets_of_symseq(symseq):
+    G = symseq.group
+    lat = lattice_of(G)
+    entries = set()
+    for n in sorted(symseq.levels):
+        for H in lat.subgroups:
+            for T in hsets_up_to_iso(H, n):
+                gamma = graph_subgroup(G, H, T)
+                if any(old_is_subconjugate(gamma, orb)
+                       for orb in symseq.levels[n]):
+                    entries.add((lat.id_of(H), iso_key(T)))
+    return frozenset(entries)
+
+
+@pytest.mark.parametrize("name", ["C4", "K4", "S3", "C6"])
+def test_symseq_admissibility_matches_subconjugacy(name):
+    for t in enumerate_transfer_systems(group_by_name(name)):
+        S = free_model(t)
+        assert admissible_sets_of_symseq(S).entries \
+            == old_admissible_sets_of_symseq(S)
+
+
+def test_symseq_admissibility_matches_subconjugacy_on_d4_slice():
+    # the table path takes ~0.35 s per D4 system, so a seeded slice
+    systems = enumerate_transfer_systems(group_by_name("D4"))
+    for t in random.Random(7).sample(systems, 6):
+        S = free_model(t)
+        assert admissible_sets_of_symseq(S).entries \
+            == old_admissible_sets_of_symseq(S)
