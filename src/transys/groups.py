@@ -289,6 +289,18 @@ def generated_subgroup(G: Group, gens: Iterable[int]) -> Subgroup:
     return Subgroup(G, tuple(members))
 
 
+def generators(G: Group) -> tuple[int, ...]:
+    """A generating set of G: each element not in the span of the ones
+    before it, in ascending order."""
+    gens: list[int] = []
+    span = {0}
+    for g in G.elements():
+        if g not in span:
+            gens.append(g)
+            span = generated_subgroup(G, gens).member_set
+    return tuple(gens)
+
+
 def all_subgroups(G: Group) -> tuple[Subgroup, ...]:
     """Every subgroup exactly once, ordered by (size, member tuple).
 

@@ -26,6 +26,7 @@ from .groups import (
     coset_hset,
     double_cosets,
     full_subgroup,
+    generators,
     graph_conjugacy_label,
     graph_subgroup,
     identity_perm,
@@ -232,40 +233,40 @@ def _direct_pullback_labels(f: Homomorphism, orb: GraphSubgroup) -> list:
             f"pullback of a level-{n} orbit needs {total} elements")
     H = orb.subgroup
     sigma = {h: orb.hset.act_of(h) for h in H.members}
-    perms = sorted(itertools.permutations(range(n)))
+    # number each (a, pi) of G' x Sigma_n with its coset (a, pi)Gamma; in
+    # ascending order, the first member met is the coset's least, its point
+    number: dict[tuple[int, Perm], int] = {}
+    points = []
+    perms = list(itertools.permutations(range(n)))  # lexicographic
+    for a in Gp.elements():
+        for pi in perms:
+            if (a, pi) not in number:
+                for h in H.members:
+                    number[(Gp.mul[a][h], compose(pi, sigma[h]))] = len(points)
+                points.append((a, pi))
 
-    def coset_rep(a: int, pi: Perm):
-        return min((Gp.mul[a][h], compose(pi, sigma[h])) for h in H.members)
-
-    points = sorted({coset_rep(a, pi) for a in Gp.elements() for pi in perms})
-    index = {p: i for i, p in enumerate(points)}
-
-    gens = [(g, identity_perm(n)) for g in G.elements() if g != 0]
+    gens = [(g, identity_perm(n)) for g in generators(G)]
     if n > 1:
         swap = list(range(n))
         swap[0], swap[1] = swap[1], swap[0]
         cycle = tuple(list(range(1, n)) + [0])
         gens += [(0, tuple(swap)), (0, cycle)]
 
-    def act(g: int, s: Perm, point):
-        a, pi = point
-        return coset_rep(Gp.mul[f.map[g]][a], compose(s, pi))
-
     seen = [False] * len(points)
     labels = []
     for start in range(len(points)):
         if seen[start]:
             continue
-        frontier = [points[start]]
+        frontier = [start]
         seen[start] = True
         while frontier:
             nxt = []
             for p in frontier:
+                a, pi = points[p]
                 for g, s in gens:
-                    q = act(g, s, p)
-                    qi = index[q]
-                    if not seen[qi]:
-                        seen[qi] = True
+                    q = number[(Gp.mul[f.map[g]][a], compose(s, pi))]
+                    if not seen[q]:
+                        seen[q] = True
                         nxt.append(q)
             frontier = nxt
         a, pi = points[start]
@@ -287,10 +288,10 @@ def double_coset_check(f: Homomorphism, S: SymmetricSequence) -> LawReport:
     """Predicted summand stabilizers versus the direct pullback, orbit by
     orbit, compared up to conjugacy in G x Sigma_n."""
     checked = 0
+    imf = f.image()
     for n, orbits in sorted(S.levels.items()):
         for orb in orbits:
             checked += 1
-            imf = f.image()
             predicted = sorted(
                 graph_conjugacy_label(_pullback_orbit(f, r, orb))
                 for r in double_cosets(f.target, imf, orb.subgroup))

@@ -17,6 +17,7 @@ composition are checked on fuzzed terms rather than assumed.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -126,12 +127,37 @@ class SymbolPool:
                         raise RewriteError(
                             f"action tables break the group law at "
                             f"({g2},{g1}) on {sym}")
+        self._check_z()
+
+    def _check_z(self) -> None:
         if self.z is not None:
             if self.z.factor != "Y" or self.z.arity != 0:
                 raise RewriteError("z must be a nullary Y-symbol")
-            for g in G.elements():
-                if self.g_action[(self.z, g)][0] != self.z:
+            for g in self.group.elements():
+                if self.g_action.get((self.z, g), (None,))[0] != self.z:
                     raise RewriteError("z must be G-fixed")
+
+    def union(self, other: "SymbolPool", z: Optional[OpSymbol]
+              ) -> "SymbolPool":
+        """Both pools' symbols and tables in one pool with constant z.
+
+        Each side was validated in full when it was built and the two
+        share no factor, so only the group and z are checked here.
+        """
+        if self.group != other.group:
+            raise RewriteError("factors live over different groups")
+        if {s.factor for s in self.symbols} & {s.factor for s in other.symbols}:
+            raise RewriteError("the two pools share a factor")
+        pool = object.__new__(SymbolPool)  # skips the per-block validation
+        pool.group = self.group
+        pool.symbols = self.symbols + other.symbols
+        pool.g_action = {**self.g_action, **other.g_action}
+        pool.x_identity = self.x_identity or other.x_identity
+        pool.y_identity = self.y_identity or other.y_identity
+        pool.compose_table = {**self.compose_table, **other.compose_table}
+        pool.z = z
+        pool._check_z()
+        return pool
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +601,44 @@ def orbit_symbols(orb: GraphSubgroup, factor: str, start: int
     return symbols, action, {orb: symbols[0]}
 
 
+@dataclass(frozen=True)
+class FactorPart:
+    """One free model as one factor: its validated symbol pool, the
+    basepoint symbol of each orbit, and its generator witness table."""
+
+    pool: SymbolPool
+    base: dict
+    table: "WitnessTable"
+
+
+@functools.cache
+def _factor_part(factor: str, group: Group, levels: tuple) -> FactorPart:
+    from .operads import SymmetricSequence
+
+    symbols, action = marked_symbols(group, factor)
+    base = {}
+    for _, orbits in levels:
+        for orb in orbits:
+            syms, acts, b = orbit_symbols(orb, factor, len(symbols))
+            symbols.extend(syms)
+            action.update(acts)
+            base.update(b)
+    pool = SymbolPool(group, symbols, action)
+    seq = SymmetricSequence(group, dict(levels))
+    return FactorPart(pool, base, WitnessTable(pool, seq, base))
+
+
+def factor_part(seq, factor: str) -> FactorPart:
+    """The factor part of a free model, built once per orbit content."""
+    return _factor_part(factor, seq.group, tuple(sorted(seq.levels.items())))
+
+
+def _pair_parts(S, T) -> tuple[SymbolPool, FactorPart, FactorPart]:
+    x, y = factor_part(S, "X"), factor_part(T, "Y")
+    z = next(s for s in y.pool.symbols if s.arity == 0)
+    return x.pool.union(y.pool, z), x, y
+
+
 def pool_from_free_models(S, T) -> tuple[SymbolPool, dict, dict]:
     """Pool for F(S') u F(T'): marked generators plus the two factors'
     orbit symbols; z is the Y-side marked constant.
@@ -582,28 +646,8 @@ def pool_from_free_models(S, T) -> tuple[SymbolPool, dict, dict]:
     Returns the pool and, per factor, the map from each orbit to its
     basepoint symbol (the representative of the identity coset).
     """
-    if S.group != T.group:
-        raise RewriteError("factors live over different groups")
-    G = S.group
-    symbols = []
-    action = {}
-    base_x = {}
-    base_y = {}
-    for factor, seq, base in (("X", S, base_x), ("Y", T, base_y)):
-        marked, marked_action = marked_symbols(G, factor)
-        symbols.extend(marked)
-        action.update(marked_action)
-        next_id = 2
-        for n in sorted(seq.levels):
-            for orb in seq.levels[n]:
-                syms, acts, b = orbit_symbols(orb, factor, next_id)
-                next_id += len(syms)
-                symbols.extend(syms)
-                action.update(acts)
-                base.update(b)
-    z = next(s for s in symbols if s.factor == "Y" and s.arity == 0)
-    pool = SymbolPool(G, symbols, action, z=z)
-    return pool, base_x, base_y
+    pool, x, y = _pair_parts(S, T)
+    return pool, x.base, y.base
 
 
 # ---------------------------------------------------------------------------
@@ -746,15 +790,18 @@ class AdmissibilityWitness:
 
 class WitnessFactory:
     """Shared pool and factor witness tables for one pair of generator
-    sequences; hands out verified join witnesses pair by pair."""
+    sequences; hands out verified join witnesses pair by pair.
+
+    The pool is the union of the two factor parts and the tables are
+    theirs, so a pair builds and validates nothing of its own.
+    """
 
     def __init__(self, S, T):
         from .transfer import join
 
-        self.pool, base_x, base_y = pool_from_free_models(S, T)
+        self.pool, x, y = _pair_parts(S, T)
         self.lat = lattice_of(S.group)
-        self.table_x = WitnessTable(self.pool, S, base_x)
-        self.table_y = WitnessTable(self.pool, T, base_y)
+        self.table_x, self.table_y = x.table, y.table
         self.join = join(self.table_x.transfer, self.table_y.transfer)
 
     def _chain(self, k_id: int, h_id: int):

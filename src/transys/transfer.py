@@ -34,8 +34,8 @@ class BudgetExceededError(RuntimeError):
 class Violation:
     """First failed transfer-system axiom, with subgroup-id witnesses."""
 
-    # subgroup id | same group | refinement | reflexivity | transitivity
-    # | conjugation | restriction
+    # subgroup id | strict pair | same group | refinement | reflexivity
+    # | transitivity | conjugation | restriction
     kind: str
     witness: dict
 
@@ -393,12 +393,17 @@ def ts_to_json(t: TransferSystem) -> dict:
 def rel_from_json(data, group: Optional[Group] = None
                   ) -> tuple[SubgroupLattice, Rel]:
     """A {"group", "pairs"} object as its lattice and raw relation matrix,
-    unvalidated; ``group`` overrides the file's group."""
+    unvalidated but for ids and strict pairs (no [i, i]); ``group``
+    overrides the file's group."""
     G = group if group is not None else group_from_json(
         json_field(data, "group", "transfer system"))
     lat = lattice_of(G)
-    return lat, rel_from_pairs(lat.count,
-                               json_field(data, "pairs", "transfer system"))
+    pairs = json_field(data, "pairs", "transfer system")
+    rel = rel_from_pairs(lat.count, pairs)
+    for i, j in pairs:
+        if i == j:
+            raise TransferSystemError(Violation("strict pair", {"pair": [i, j]}))
+    return lat, rel
 
 
 def ts_from_json(data, group: Optional[Group] = None) -> TransferSystem:

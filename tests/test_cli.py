@@ -170,6 +170,21 @@ def test_ts_out_of_range_pair_id_rejected(tmp_path, capsys):
         assert code == 1 and "subgroup id" in err
 
 
+def test_ts_diagonal_pair_rejected(tmp_path, capsys):
+    # [1, 1] is no pair K < H; it used to be dropped and the rest accepted
+    rel = tmp_path / "diag.json"
+    rel.write_text(json.dumps({"group": "C4", "pairs": [[1, 1], [0, 1]]}))
+    for action in ("validate", "generate", "cogenerate"):
+        code, out, err = run(capsys, "ts", action, str(rel))
+        assert code == 1 and out == ""
+        assert "strict pair violated at pair=[1, 1]" in err
+    code, _, err = run(capsys, "ts", "join", str(rel), str(rel))
+    assert code == 1 and "pair=[1, 1]" in err
+    code, _, err = run(capsys, "functor", "apply", "--kind", "fR",
+                       "--hom", "id_C4", "--input", str(rel))
+    assert code == 1 and "pair=[1, 1]" in err
+
+
 def _missing_key(tmp_path, capsys, payload, *argv):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))

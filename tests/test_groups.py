@@ -23,6 +23,7 @@ from transys.groups import (
     double_cosets,
     full_subgroup,
     generated_subgroup,
+    generators,
     graph_subgroup,
     graph_conjugacy_label,
     hset_of_orbits,
@@ -40,6 +41,15 @@ from transys.groups import (
 )
 from transys.indexing import admissible_sets_of_symseq
 from transys.operads import SymmetricSequence
+
+
+@pytest.mark.parametrize("name", ["C1", "C6", "K4", "S3", "D4", "C2xC4"])
+def test_generators_generate_and_none_is_redundant(name):
+    G = group_by_name(name)
+    gens = generators(G)
+    assert generated_subgroup(G, gens).order == G.order
+    for i, g in enumerate(gens):
+        assert g not in generated_subgroup(G, gens[:i])
 
 
 def test_make_group_catalog():

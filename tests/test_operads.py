@@ -14,6 +14,8 @@ from transys.groups import (
     Subgroup,
     compose,
     full_subgroup,
+    FiniteGSet,
+    graph_conjugacy_label,
     graph_subgroup,
     hset_of_orbits,
     identity_perm,
@@ -23,11 +25,13 @@ from transys.groups import (
     trivial_subgroup,
 )
 from transys.operads import (
+    DEFAULT_LEVEL_GUARD,
     CoindAsOperad,
     MaterializationError,
     SymmetricSequence,
     coind_as_product_check,
     coproduct_join_check,
+    _direct_pullback_labels,
     double_coset_check,
     free_model,
     induce_symseq,
@@ -244,3 +248,66 @@ def test_double_coset_check():
         for t in enumerate_transfer_systems(f.target):
             report = double_coset_check(f, free_model(t))
             assert report.passed, (name, report.counterexample)
+
+
+def seed_direct_pullback_labels(f, orb):
+    """The direct pullback with each point found as the least member of
+    its coset by |H| compositions, acted on by every element of G."""
+    G, Gp, n = f.source, f.target, orb.arity
+    assert Gp.order * math.factorial(n) <= DEFAULT_LEVEL_GUARD
+    H = orb.subgroup
+    sigma = {h: orb.hset.act_of(h) for h in H.members}
+    perms = sorted(itertools.permutations(range(n)))
+
+    def coset_rep(a, pi):
+        return min((Gp.mul[a][h], compose(pi, sigma[h])) for h in H.members)
+
+    points = sorted({coset_rep(a, pi) for a in Gp.elements() for pi in perms})
+    index = {p: i for i, p in enumerate(points)}
+    gens = [(g, identity_perm(n)) for g in G.elements() if g != 0]
+    if n > 1:
+        swap = list(range(n))
+        swap[0], swap[1] = swap[1], swap[0]
+        gens += [(0, tuple(swap)), (0, tuple(list(range(1, n)) + [0]))]
+    seen = [False] * len(points)
+    labels = []
+    for start in range(len(points)):
+        if seen[start]:
+            continue
+        frontier = [points[start]]
+        seen[start] = True
+        while frontier:
+            nxt = []
+            for a, pi in frontier:
+                for g, s in gens:
+                    q = coset_rep(Gp.mul[f.map[g]][a], compose(s, pi))
+                    if not seen[index[q]]:
+                        seen[index[q]] = True
+                        nxt.append(q)
+            frontier = nxt
+        a, pi = points[start]
+        members, rows = [], {}
+        for g in G.elements():
+            h = Gp.mul[Gp.mul[Gp.inv[a]][f.map[g]]][a]
+            if h in H.member_set:
+                members.append(g)
+                rows[g] = compose(pi, compose(sigma[h], invert(pi)))
+        L = Subgroup(G, tuple(members))
+        T = FiniteGSet(L, n, tuple(rows[g] for g in L.members))
+        labels.append(graph_conjugacy_label(graph_subgroup(G, L, T)))
+    return sorted(labels)
+
+
+def test_direct_pullback_matches_seed_bfs():
+    """Every orbit of every free model that the double-coset and thmB-res
+    suites pull back, by default and under each of their homs."""
+    orbits = 0
+    for name in ("C4_to_S3", "C2_into_C4", "C4_onto_C2"):
+        f = catalog_hom(name)
+        for t in enumerate_transfer_systems(f.target):
+            for level in free_model(t).levels.values():
+                for orb in level:
+                    assert (_direct_pullback_labels(f, orb)
+                            == seed_direct_pullback_labels(f, orb))
+                    orbits += 1
+    assert orbits > 0

@@ -1,16 +1,19 @@
-"""The redex walk, normal-form joinability and the generator witness
-tables against the seed rewriting code, kept here as oracles: the
-pre-order redex list ranked by `_pick_leftmost_innermost`, the normalizer
-built on it, joinability by intersecting full descendant sets
-(`_descendants`), and the witness table that re-ran the transfer-system
-closure on terms (`SeedWitnessTable._saturate`)."""
+"""The redex walk, normal-form joinability, the generator witness tables
+and the pair pools against the seed rewriting code, kept here as oracles:
+the pre-order redex list ranked by `_pick_leftmost_innermost`, the
+normalizer built on it, joinability by intersecting full descendant sets
+(`_descendants`), the witness table that re-ran the transfer-system
+closure on terms (`SeedWitnessTable._saturate`), and the pair pool built
+and validated whole for every pair (`seed_pool_from_free_models`)."""
 
+import copy
 import functools
 import random
 from collections import Counter
 
 import pytest
 
+from transys import rewrite
 from transys.catalog import group_by_name
 from transys.operads import free_model, symseq_transfer
 from transys.rewrite import (
@@ -32,16 +35,19 @@ from transys.rewrite import (
     as_pool,
     check_criteria,
     complexity,
+    factor_part,
     fixed_structure,
     fuzz_term,
     gamma,
+    marked_symbols,
     one_step_reducts,
+    orbit_symbols,
     pool_from_free_models,
     reduce_term,
     replace_at,
 )
 from transys.groups import FiniteGSet, Subgroup, identity_perm, iso_key, lattice_of
-from transys.transfer import enumerate_transfer_systems
+from transys.transfer import enumerate_transfer_systems, join
 
 TERMS_PER_MODE = 1000
 
@@ -200,6 +206,33 @@ class SeedWitnessTable:
 
     def witness(self, k_id, h_id):
         return self.witnesses[(k_id, h_id)]
+
+
+def seed_pool_from_free_models(S, T):
+    """Both factors' symbols and tables built afresh for the pair, then
+    the whole pool validated."""
+    if S.group != T.group:
+        raise RewriteError("factors live over different groups")
+    G = S.group
+    symbols = []
+    action = {}
+    base_x = {}
+    base_y = {}
+    for factor, seq, base in (("X", S, base_x), ("Y", T, base_y)):
+        marked, marked_action = marked_symbols(G, factor)
+        symbols.extend(marked)
+        action.update(marked_action)
+        next_id = 2
+        for n in sorted(seq.levels):
+            for orb in seq.levels[n]:
+                syms, acts, b = orbit_symbols(orb, factor, next_id)
+                next_id += len(syms)
+                symbols.extend(syms)
+                action.update(acts)
+                base.update(b)
+    z = next(s for s in symbols if s.factor == "Y" and s.arity == 0)
+    pool = SymbolPool(G, symbols, action, z=z)
+    return pool, base_x, base_y
 
 
 def _descendants(pool, t, mode, cache):
@@ -377,3 +410,110 @@ def test_factory_witnesses_match_seed_tables_on_d4_slice():
             assert w == factory.witness(k_id, h_id, TENSOR)
             checked += 1
     assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# pair pools as the union of factor parts, against the per-pair build
+
+#: every pair of the small groups, and all pairs of the D4 slice's first 6
+POOL_SLICES = {"C4": None, "K4": None, "S3": None, "D4": 6}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_SLICES))
+def test_pair_pool_matches_per_pair_build(name):
+    models = _models(name)[:POOL_SLICES[name]]
+    witnesses = 0
+    for S in models:
+        for T in models:
+            pool, base_x, base_y = pool_from_free_models(S, T)
+            seed, seed_x, seed_y = seed_pool_from_free_models(S, T)
+            assert pool.symbols == seed.symbols
+            assert pool.g_action == seed.g_action
+            assert pool.z == seed.z
+            assert (base_x, base_y) == (seed_x, seed_y)
+            factory = WitnessFactory(S, T)
+            oracle = copy.copy(factory)
+            oracle.pool = seed
+            oracle.table_x = WitnessTable(seed, S, seed_x)
+            oracle.table_y = WitnessTable(seed, T, seed_y)
+            oracle.join = join(oracle.table_x.transfer, oracle.table_y.transfer)
+            assert factory.pool.symbols == seed.symbols
+            assert factory.pool.g_action == seed.g_action
+            assert factory.table_x.witnesses == oracle.table_x.witnesses
+            assert factory.table_y.witnesses == oracle.table_y.witnesses
+            assert factory.join == oracle.join
+            for k_id, h_id in factory.join.pairs():
+                for mode in (COPRODUCT, TENSOR):
+                    # term, subgroup, structure, normal form and verdict
+                    assert (factory.witness(k_id, h_id, mode)
+                            == oracle.witness(k_id, h_id, mode))
+                    witnesses += 1
+    assert witnesses > 0
+
+
+@pytest.fixture
+def fresh_parts():
+    rewrite._factor_part.cache_clear()
+    yield rewrite._factor_part
+    rewrite._factor_part.cache_clear()
+
+
+def test_broken_action_row_in_one_factor_is_rejected(fresh_parts, monkeypatch):
+    """A free model whose orbit table breaks the group law on one row
+    fails validation whichever side of the pair it stands on."""
+    S3 = group_by_name("S3")
+    systems = enumerate_transfer_systems(S3)
+    S, discrete = free_model(systems[-1]), free_model(systems[0])
+
+    def broken(orb, factor, start):
+        syms, acts, b = orbit_symbols(orb, factor, start)
+        acts[(syms[0], 1)] = (syms[0], identity_perm(orb.arity))
+        return syms, acts, b
+
+    monkeypatch.setattr(rewrite, "orbit_symbols", broken)
+    for pair in ((S, discrete), (discrete, S)):
+        with pytest.raises(RewriteError, match="group law"):
+            WitnessFactory(*pair)
+        with pytest.raises(RewriteError, match="group law"):
+            pool_from_free_models(*pair)
+
+
+def test_factor_parts_are_built_once_per_system(fresh_parts, monkeypatch):
+    """A full C4 pair loop builds and validates 2 x 5 factor parts, not
+    2 x 25."""
+    validated = []
+    validate = SymbolPool.validate
+    monkeypatch.setattr(SymbolPool, "validate",
+                        lambda pool: validated.append(pool) or validate(pool))
+    models = [free_model(s)
+              for s in enumerate_transfer_systems(group_by_name("C4"))]
+    for S in models:
+        for T in models:
+            WitnessFactory(S, T)
+    info = fresh_parts.cache_info()
+    assert (info.misses, info.hits) == (2 * 5, 2 * 25 - 2 * 5)
+    assert len(validated) == 2 * 5
+
+
+def test_union_checks_group_factors_and_z():
+    C2, C4 = group_by_name("C2"), group_by_name("C4")
+    S = free_model(enumerate_transfer_systems(C2)[-1])
+    x, y = factor_part(S, "X").pool, factor_part(S, "Y").pool
+    u, p = y.symbols[:2]
+    assert x.union(y, u).z == u
+    with pytest.raises(RewriteError, match="z must be a nullary Y-symbol"):
+        x.union(y, p)
+    with pytest.raises(RewriteError, match="z must be a nullary Y-symbol"):
+        x.union(y, x.symbols[0])
+    with pytest.raises(RewriteError, match="share a factor"):
+        x.union(x, u)
+    other = factor_part(free_model(enumerate_transfer_systems(C4)[-1]), "Y")
+    with pytest.raises(RewriteError, match="different groups"):
+        x.union(other.pool, other.pool.symbols[0])
+    # two nullary Y-symbols swapped by the group: a valid factor, but
+    # neither constant is G-fixed
+    a, b = OpSymbol("Y", 0, 0), OpSymbol("Y", 1, 0)
+    swapped = SymbolPool(C2, [a, b], {(a, 0): (a, ()), (a, 1): (b, ()),
+                                      (b, 0): (b, ()), (b, 1): (a, ())})
+    with pytest.raises(RewriteError, match="z must be G-fixed"):
+        x.union(swapped, a)
