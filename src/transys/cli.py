@@ -19,7 +19,8 @@ from .catalog import (
     group_to_json,
     hom_from_json,
 )
-from .groups import Group, GroupError, all_subgroups
+from .groups import Group, GroupError, all_subgroups, lattice_of
+from .operads import MaterializationError
 from .transfer import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -129,11 +130,17 @@ def cmd_functor(args) -> int:
     else:
         f = catalog_hom(args.hom)
     side = f.source if args.kind in ("fL", "fR") else f.target
-    if args.input:
-        t = ts_from_json(_read_json(args.input), group=side)
-    else:
-        data = _read_json("-")
-        t = ts_from_json(data, group=side)
+    # lattices are cached per equal group: build the side's first, so that
+    # an equal group read from the input maps onto it and does not lend
+    # its name to the output
+    lattice_of(side)
+    lat, rel = rel_from_json(_read_json(args.input or "-"))
+    if lat.group != side:
+        raise GroupError(
+            f"{args.kind} reads a transfer system on {side.name} "
+            f"(order {side.order}), but the input is on {lat.group.name} "
+            f"(order {lat.group.order})")
+    t = validate(lat, rel)
     if args.kind == "fL" and not f.is_injective:
         sys.stderr.write(
             "warning: fL along a noninjective map is a lattice-level "
@@ -227,7 +234,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         sys.stderr.write(f"budget exceeded: {err}\n")
         return BUDGET
-    except (GroupError, TransferSystemError, ValueError, OSError) as err:
+    except (GroupError, TransferSystemError, MaterializationError,
+            ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return FAIL
 

@@ -1,9 +1,10 @@
 """Image and inverse-image functors on transfer systems along a homomorphism.
 
-Four constructions for f : G -> G': the left images/preimages are computed
-by generating from the image or preimage pairs, the right ones by
-cogenerating from pulled-back orders.  Their adjointness and functoriality
-are verified by the report operations below rather than assumed.
+Four constructions for f : G -> G': the left images/preimages generate
+along the subgroup image or preimage ids, the right ones cogenerate along
+the other map (`transfer.generate_along`, `transfer.cogenerate_along`).
+Their adjointness and functoriality are verified by the report operations
+below rather than assumed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .groups import GroupError, Homomorphism, lattice_of
-from .transfer import TransferSystem, cogenerate_pairs, generate_pairs
+from .transfer import TransferSystem, cogenerate_along, generate_along
 
 KINDS = ("fL", "finvL", "fR", "finvR")
 
@@ -21,9 +22,7 @@ def image_L(f: Homomorphism, t: TransferSystem) -> TransferSystem:
     """f_L: the least transfer system on the target holding every (fK, fH)."""
     if t.group != f.source:
         raise GroupError("transfer system lives on the wrong group for f_L")
-    ids = f.image_ids
-    return generate_pairs(lattice_of(f.target),
-                          {(ids[i], ids[j]) for i, j in t.pairs()})
+    return generate_along(t, f.image_ids, lattice_of(f.target))
 
 
 def preimage_L(f: Homomorphism, t: TransferSystem) -> TransferSystem:
@@ -31,31 +30,21 @@ def preimage_L(f: Homomorphism, t: TransferSystem) -> TransferSystem:
     (f^-1 K, f^-1 H)."""
     if t.group != f.target:
         raise GroupError("transfer system lives on the wrong group for f^-1_L")
-    ids = f.preimage_ids
-    return generate_pairs(lattice_of(f.source),
-                          {(ids[i], ids[j]) for i, j in t.pairs()})
-
-
-def _pulled_back(lat, ids: tuple[int, ...], t: TransferSystem):
-    """The pairs K <= H of lat whose images under ``ids`` are related in t."""
-    return [(i, j) for i, row in enumerate(lat.leq)
-            for j, below in enumerate(row) if below and t.has(ids[i], ids[j])]
+    return generate_along(t, f.preimage_ids, lattice_of(f.source))
 
 
 def image_R(f: Homomorphism, t: TransferSystem) -> TransferSystem:
     """f_R: cogeneration of the relation pulled back along subgroup preimage."""
     if t.group != f.source:
         raise GroupError("transfer system lives on the wrong group for f_R")
-    lat = lattice_of(f.target)
-    return cogenerate_pairs(lat, _pulled_back(lat, f.preimage_ids, t))
+    return cogenerate_along(t, f.preimage_ids, lattice_of(f.target))
 
 
 def preimage_R(f: Homomorphism, t: TransferSystem) -> TransferSystem:
     """f^-1_R: cogeneration of the relation pulled back along subgroup image."""
     if t.group != f.target:
         raise GroupError("transfer system lives on the wrong group for f^-1_R")
-    lat = lattice_of(f.source)
-    return cogenerate_pairs(lat, _pulled_back(lat, f.image_ids, t))
+    return cogenerate_along(t, f.image_ids, lattice_of(f.source))
 
 
 def apply_functor(kind: str, f: Homomorphism, t: TransferSystem) -> TransferSystem:
@@ -102,6 +91,8 @@ def check_galois(f: Homomorphism, lower: str, upper: str,
     swap accordingly.  Non-adjoint pairings are rejected unless
     ``enforce_pairing`` is off, in which case any direction-compatible
     pairing runs and the report carries the counterexample it finds.
+    Each adjoint is applied once per system: upper before the loop, lower
+    once per x.
     """
     if (lower, upper) not in GALOIS_PAIRINGS and enforce_pairing:
         raise GroupError(
@@ -115,11 +106,11 @@ def check_galois(f: Homomorphism, lower: str, upper: str,
         xs, ys = source_systems, target_systems
     else:
         xs, ys = target_systems, source_systems
+    uppers = [apply_functor(upper, f, y) for y in ys]
     checked = 0
     for x in xs:
         lx = apply_functor(lower, f, x)
-        for y in ys:
-            uy = apply_functor(upper, f, y)
+        for y, uy in zip(ys, uppers):
             checked += 1
             if lx.refines(y) != x.refines(uy):
                 return LawReport(

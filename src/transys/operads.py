@@ -230,7 +230,8 @@ def _direct_pullback_labels(f: Homomorphism, orb: GraphSubgroup) -> list:
     total = Gp.order * math.factorial(n)
     if total > DEFAULT_LEVEL_GUARD:
         raise MaterializationError(
-            f"pullback of a level-{n} orbit needs {total} elements")
+            f"pullback of a level-{n} orbit needs {total} elements, "
+            f"over the limit of {DEFAULT_LEVEL_GUARD}")
     H = orb.subgroup
     sigma = {h: orb.hset.act_of(h) for h in H.members}
     # number each (a, pi) of G' x Sigma_n with its coset (a, pi)Gamma; in

@@ -2,7 +2,8 @@
 
 A transfer system is a mask over the pairs K < H of subgroup ids: pair
 (K, H) is bit ``K * n + H``, its place in the row-major relation matrix.
-Every lattice operation runs on masks (`_Core`, built once per lattice).
+Every lattice operation runs on masks (`_Core`, built once per lattice),
+and so does a change of group (`_along`, built once per map of ids).
 A boolean matrix is only the input form, which `validate` scans for exact
 witnesses; `TransferSystem.rel` is a view derived from the mask.
 """
@@ -239,9 +240,15 @@ class _Core:
         return closed
 
     def interior(self, mask: int) -> int:
-        """The largest transfer system inside a mask: the pairs whose
-        implications all lie in it."""
-        return sum(1 << p for p in self.ids if not self.step[p][0] & ~mask)
+        """The largest transfer system inside a mask of pairs: those whose
+        implications, the pair itself among them, all lie in it."""
+        step, kept, todo = self.step, 0, mask
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            if not step[low.bit_length() - 1][0] & ~mask:
+                kept |= low
+        return kept
 
     def system(self, mask: int) -> TransferSystem:
         return TransferSystem(self.lat.group, mask, self.lat)
@@ -280,12 +287,53 @@ def cogenerate(lat: SubgroupLattice, rel: Rel) -> TransferSystem:
     return core.system(core.interior(_mask_of_pairs(lat, rel_pairs(rel))))
 
 
-def cogenerate_pairs(lat: SubgroupLattice,
-                     pairs: Iterable[tuple[int, int]]) -> TransferSystem:
-    """Largest transfer system inside the relation made of these pairs
-    K <= H; unlike `cogenerate`, the relation is not checked."""
+@cache
+def _along(src: SubgroupLattice, dst: SubgroupLattice, ids: tuple[int, ...]):
+    """How the pairs of ``src`` map to those of ``dst`` along ``ids``, a map
+    of subgroup ids that preserves inclusion: the bit of each pair's image
+    (0 when both ends land on one subgroup), the mask of the pairs so sent
+    onto the diagonal, and the mask of the pairs over each pair bit of
+    ``dst`` (its fibre)."""
+    n, m = src.count, dst.count
+    image, diagonal, fibre = [0] * (n * n), 0, [0] * (m * m)
+    for p in _core(src).ids:
+        i, j = divmod(p, n)
+        if ids[i] == ids[j]:
+            diagonal |= 1 << p
+        else:
+            q = ids[i] * m + ids[j]
+            image[p] = 1 << q
+            fibre[q] |= 1 << p
+    return tuple(image), diagonal, tuple(fibre)
+
+
+def _gather(table: tuple[int, ...], mask: int) -> int:
+    """The OR of ``table[p]`` over the set bits p of a mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= table[low.bit_length() - 1]
+    return out
+
+
+def generate_along(t: TransferSystem, ids: tuple[int, ...],
+                   lat: SubgroupLattice) -> TransferSystem:
+    """Least transfer system on ``lat`` holding (ids[K], ids[H]) for every
+    pair K < H of t; ``ids`` maps t's subgroup ids into ``lat``."""
+    image, _, _ = _along(t.lattice, lat, ids)
     core = _core(lat)
-    return core.system(core.interior(_mask_of_pairs(lat, pairs)))
+    return core.system(core.close(_gather(image, t.mask)))
+
+
+def cogenerate_along(t: TransferSystem, ids: tuple[int, ...],
+                     lat: SubgroupLattice) -> TransferSystem:
+    """Largest transfer system on ``lat`` inside the pullback of t: the
+    pairs K <= H of ``lat`` with (ids[K], ids[H]) in t.  ``ids`` maps the
+    subgroup ids of ``lat`` into t's."""
+    _, diagonal, fibre = _along(lat, t.lattice, ids)
+    core = _core(lat)
+    return core.system(core.interior(diagonal | _gather(fibre, t.mask)))
 
 
 def meet(s: TransferSystem, t: TransferSystem) -> TransferSystem:
@@ -390,14 +438,11 @@ def ts_to_json(t: TransferSystem) -> dict:
     return {"group": group_to_json(t.group), "pairs": [list(p) for p in t.pairs()]}
 
 
-def rel_from_json(data, group: Optional[Group] = None
-                  ) -> tuple[SubgroupLattice, Rel]:
+def rel_from_json(data) -> tuple[SubgroupLattice, Rel]:
     """A {"group", "pairs"} object as its lattice and raw relation matrix,
-    unvalidated but for ids and strict pairs (no [i, i]); ``group``
-    overrides the file's group."""
-    G = group if group is not None else group_from_json(
-        json_field(data, "group", "transfer system"))
-    lat = lattice_of(G)
+    unvalidated but for ids and strict pairs (no [i, i])."""
+    lat = lattice_of(group_from_json(
+        json_field(data, "group", "transfer system")))
     pairs = json_field(data, "pairs", "transfer system")
     rel = rel_from_pairs(lat.count, pairs)
     for i, j in pairs:
@@ -406,8 +451,8 @@ def rel_from_json(data, group: Optional[Group] = None
     return lat, rel
 
 
-def ts_from_json(data, group: Optional[Group] = None) -> TransferSystem:
-    return validate(*rel_from_json(data, group))
+def ts_from_json(data) -> TransferSystem:
+    return validate(*rel_from_json(data))
 
 
 def hasse_dot(systems: Sequence[TransferSystem]) -> str:

@@ -1,5 +1,6 @@
 """Command-line surface tests: wire formats, exit codes, named suites."""
 
+import io
 import json
 from pathlib import Path
 
@@ -255,6 +256,22 @@ def test_functor_hom_file(tmp_path, capsys):
     assert code == 0 and json.loads(out)["pairs"] == [[0, 1]]
 
 
+def test_functor_input_on_the_wrong_group_rejected(tmp_path, capsys,
+                                                  monkeypatch):
+    # the hom's group used to replace the file's, so a C4 system was read
+    # as a C2 one and the command exited 0
+    c4 = tmp_path / "c4.json"
+    c4.write_text(json.dumps({"group": "C4", "pairs": [[0, 1]]}))
+    argv = ("functor", "apply", "--kind", "fL", "--hom", "C2_into_C4")
+    code, out, err = run(capsys, *argv, "--input", str(c4))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert "on C2 (order 2)" in err and "on C4 (order 4)" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(c4.read_text()))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert "on C2 (order 2)" in err and "on C4 (order 4)" in err
+
+
 def test_functor_apply_without_hom(tmp_path, capsys):
     # used to say "unknown hom None; known: [...]"
     c4 = tmp_path / "c4.json"
@@ -294,6 +311,16 @@ def test_verify_suites(capsys):
 
     code, out, _ = run(capsys, "verify", "thmB-coind", "--group", "C4")
     assert code == 0 and json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("hom", ["C2_into_C8", "C4_into_C8"])
+def test_verify_double_coset_over_the_level_guard(hom, capsys):
+    # a level-8 orbit over C8 needs 8 * 8! elements; this used to escape
+    # as a MaterializationError traceback
+    code, out, err = run(capsys, "verify", "double-coset", "--hom", hom)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "needs 322560 elements" in err
 
 
 @pytest.mark.parametrize("mode", ["tensor", "coproduct"])

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from transys import functors
 from transys.catalog import catalog_hom, catalog_homs, group_by_name
 from transys.functors import (
+    KINDS,
+    LawReport,
     apply_functor,
     check_galois,
     check_pointwise_order,
@@ -17,11 +20,21 @@ from transys.functors import (
     preimage_R,
     verify_functoriality,
 )
-from transys.groups import GroupError, identity_hom, lattice_of
+from transys.groups import (
+    GroupError,
+    all_subgroups,
+    bang_hom,
+    cyclic_hom,
+    identity_hom,
+    inclusion_hom,
+    lattice_of,
+    trivial_subgroup,
+)
 from transys.transfer import (
     complete,
     discrete,
     enumerate_transfer_systems,
+    generate_pairs,
     rel_from_pairs,
     validate,
 )
@@ -264,3 +277,121 @@ def test_strictness_for_noninjective():
             assert left.refines(right)
             assert right.has(lat.trivial_id, ker)
             assert not left.has(lat.trivial_id, ker)
+
+
+def extra_homs():
+    """The homs into or out of D4, C24 and C12 that the benchmark's
+    functors workload adds to the catalog."""
+    G = group_by_name
+    D4, C24, C12 = G("D4"), G("C24"), G("C12")
+    subs = all_subgroups(D4)
+    c2 = next(H for H in subs if H.order == 2)
+    c4 = next(H for H in subs if H.order == 4
+              and any(D4.element_order(g) == 4 for g in H.members))
+    return {
+        "C2_into_D4": inclusion_hom(c2),
+        "C4_into_D4": inclusion_hom(c4),
+        "1_into_C24": inclusion_hom(trivial_subgroup(C24)),
+        "bang_D4": bang_hom(D4),
+        "bang_C24": bang_hom(C24),
+        "C24_onto_C12": cyclic_hom(C24, C12, 1),
+        "C6_into_C12": cyclic_hom(G("C6"), C12, 2),
+    }
+
+
+def generated_along(ids, lat, t):
+    """Oracle for the left functors: the image pairs, then `generate_pairs`."""
+    return generate_pairs(lat, {(ids[i], ids[j]) for i, j in t.pairs()})
+
+
+def cogenerated_along(ids, lat, t):
+    """Oracle for the right functors, as pairs: the pairs K <= H of lat
+    whose images under ids are related in t, less each pair that implies,
+    by conjugation and restriction, a pair (gKg^-1 n L, L) outside them."""
+    pulled = {(i, j) for i, row in enumerate(lat.leq)
+              for j, below in enumerate(row)
+              if below and t.has(ids[i], ids[j])}
+    return [(k, h) for k, h in sorted(pulled) if k != h and all(
+        (lat.meet_table[c[k]][l], l) in pulled
+        for c in lat.conj_table for l in lat.ids_below(c[h]))]
+
+
+def oracle_functor(kind, f, t):
+    if kind == "fL":
+        return generated_along(f.image_ids, lattice_of(f.target), t).pairs()
+    if kind == "finvL":
+        return generated_along(f.preimage_ids, lattice_of(f.source), t).pairs()
+    if kind == "fR":
+        return cogenerated_along(f.preimage_ids, lattice_of(f.target), t)
+    return cogenerated_along(f.image_ids, lattice_of(f.source), t)
+
+
+def test_bit_maps_match_the_pair_list_functors():
+    homs = {**catalog_homs(), **extra_homs()}
+    applications = 0
+    for name, f in homs.items():
+        src = enumerate_transfer_systems(f.source)
+        tgt = enumerate_transfer_systems(f.target)
+        for kind in KINDS:
+            for t in (src if kind in ("fL", "fR") else tgt):
+                assert apply_functor(kind, f, t).pairs() == \
+                    oracle_functor(kind, f, t), (name, kind, t)
+                applications += 1
+    assert applications == 6388
+
+
+def nested_galois(f, lower, upper, source_systems, target_systems):
+    """Oracle: the law check that applies upper(y) anew for every x."""
+    xs, ys = source_systems, target_systems
+    if lower in ("finvL", "finvR"):
+        xs, ys = ys, xs
+    checked = 0
+    for x in xs:
+        lx = apply_functor(lower, f, x)
+        for y in ys:
+            uy = apply_functor(upper, f, y)
+            checked += 1
+            if lx.refines(y) != x.refines(uy):
+                return LawReport(
+                    f"{lower} -| {upper}", checked,
+                    {"x": x.pairs(), "y": y.pairs(),
+                     "lower(x)": lx.pairs(), "upper(y)": uy.pairs()})
+    return LawReport(f"{lower} -| {upper}", checked)
+
+
+def test_galois_applies_each_adjoint_once_per_system(monkeypatch):
+    calls = []
+
+    def counted(kind, f, t):
+        calls.append(kind)
+        return apply_functor(kind, f, t)
+
+    for name, f in catalog_homs().items():
+        src = enumerate_transfer_systems(f.source)
+        tgt = enumerate_transfer_systems(f.target)
+        for lower, upper in (("fL", "finvR"), ("finvL", "fR")):
+            expected = nested_galois(f, lower, upper, src, tgt)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(functors, "apply_functor", counted)
+                report = check_galois(f, lower, upper, src, tgt)
+            assert report == expected and report.passed, (name, lower)
+            assert len(calls) == len(src) + len(tgt), (name, lower)
+    i = catalog_hom("C2_into_C4")
+    src = enumerate_transfer_systems(i.source)
+    tgt = enumerate_transfer_systems(i.target)
+    report = check_galois(i, "fR", "finvR", src, tgt, enforce_pairing=False)
+    assert report == nested_galois(i, "fR", "finvR", src, tgt)
+    assert not report.passed
+
+
+def test_galois_along_larger_groups():
+    homs = extra_homs()
+    for name in ("C24_onto_C12", "C2_into_D4", "C4_into_D4", "bang_D4"):
+        f = homs[name]
+        src = enumerate_transfer_systems(f.source)
+        tgt = enumerate_transfer_systems(f.target)
+        for lower, upper in (("fL", "finvR"), ("finvL", "fR")):
+            report = check_galois(f, lower, upper, src, tgt)
+            assert report.passed, (name, lower, report.counterexample)
+            assert report.checked == len(src) * len(tgt)
