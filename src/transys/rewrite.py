@@ -5,11 +5,19 @@ factors X and Y.  Two directed reduction systems are implemented: the
 coproduct system (identity elimination and same-factor composite folding)
 and the tensor system (interchange, constant collapse).  Every rule strictly
 lowers an explicit complexity measure, so every reduction terminates within
-a known step budget.
+a known step budget.  The measure is a sum over nodes of a value that
+depends only on the node and its depth, so each contraction is checked to
+lower it from the contracted subterm alone.
 
 One post-order walk (children before their parent, left before right) lists
-the redexes of a term; its first hit is the leftmost-innermost redex, which
-the default normalizer contracts.  Because the systems terminate, local
+the redexes of a term; its first hit is the leftmost-innermost redex.  One
+normalizer gives every leftmost-innermost normal form: it normalizes the
+children of a node, then contracts at the node and normalizes the reduct in
+place, which takes the same steps as contracting the walk's first hit over
+and over.  Traced, it records each step on the whole term; untraced, it
+keeps a memo from node identity to normal form for one term and its
+reducts, which share every subtree off their redex path with the term and
+so are normalized along that path only.  Because the systems terminate, local
 confluence is checked by comparing the normal forms of the two reducts
 (Newman's lemma).  Confluence, equivariance, and congruence with
 composition are checked on fuzzed terms rather than assumed.
@@ -273,6 +281,14 @@ def _is_z_call(pool: SymbolPool, t: Term) -> bool:
     return isinstance(t, App) and pool.z is not None and t.symbol == pool.z
 
 
+def _local_rules(pool: SymbolPool, mode: RewriteMode):
+    if mode.kind == "coproduct":
+        return _local_coproduct
+    if pool.z is None:
+        raise RewriteError("tensor mode needs a designated nullary z in Y")
+    return _local_tensor
+
+
 def _local_coproduct(pool: SymbolPool, t: Term) -> list[tuple[Term, str]]:
     out = []
     if not isinstance(t, App):
@@ -300,8 +316,6 @@ def _local_coproduct(pool: SymbolPool, t: Term) -> list[tuple[Term, str]]:
 
 
 def _local_tensor(pool: SymbolPool, t: Term) -> list[tuple[Term, str]]:
-    if pool.z is None:
-        raise RewriteError("tensor mode needs a designated nullary z in Y")
     out = []
     if not isinstance(t, App):
         return out
@@ -332,70 +346,191 @@ def _local_tensor(pool: SymbolPool, t: Term) -> list[tuple[Term, str]]:
     return out
 
 
-def _redexes(pool: SymbolPool, t: Term, mode: RewriteMode):
-    """Every one-step reduct of t as (reduct, rule, path), children before
-    their parent and left before right, so the first is at the
+def _redexes(pool: SymbolPool, t: Term, mode: RewriteMode
+             ) -> list[tuple[Term, Term, str, Path]]:
+    """Every local redex of t as (subterm, reduct, rule, path), children
+    before their parent and left before right, so the first is the
     leftmost-innermost redex."""
-    local = _local_coproduct if mode.kind == "coproduct" else _local_tensor
+    local = _local_rules(pool, mode)
+    out = []
 
-    def walk(s: Term, path: Path):
+    def walk(s: Term, path: Path) -> None:
         if isinstance(s, App):
             for i, c in enumerate(s.children):
-                yield from walk(c, path + (i,))
-        for reduct, rule in local(pool, s):
-            yield replace_at(t, path, reduct), rule, path
+                walk(c, path + (i,))
+            for reduct, rule in local(pool, s):
+                out.append((s, reduct, rule, path))
 
-    return walk(t, ())
+    walk(t, ())
+    return out
 
 
 def one_step_reducts(pool: SymbolPool, t: Term, mode: RewriteMode
                      ) -> list[tuple[Term, str, Path]]:
     """Every legal single substitution at every position, exactly once."""
-    return list(_redexes(pool, t, mode))
+    return [(replace_at(t, path, reduct), rule, path)
+            for _, reduct, rule, path in _redexes(pool, t, mode)]
+
+
+def _measurer(pool: SymbolPool, mode: RewriteMode):
+    """The complexity of terms at any depth, memoized by node identity.
+
+    Both measures are sums over the nodes of a value that depends only on
+    the node and its depth d: 1 per symbol in coproduct mode; in tensor
+    mode 1 per symbol other than z, plus d times the arity of each
+    Y-symbol.  So a term standing at depth d weighs a + d*b, where a is
+    its complexity and b the total arity of its Y-symbols (0 in coproduct
+    mode), and contracting a subterm at depth d changes the complexity of
+    the whole term by exactly the change of a + d*b.  The memo holds each
+    key node, so no id is reused while it lives.
+    """
+    tensor = mode.kind == "tensor"
+    z = pool.z
+    memo: dict[int, tuple[Term, int, int]] = {}
+
+    def measure(s: Term) -> tuple[int, int]:
+        if isinstance(s, Var):
+            return 0, 0
+        hit = memo.get(id(s))
+        if hit is not None:
+            return hit[1], hit[2]
+        a = b = 0
+        for c in s.children:
+            ca, cb = measure(c)
+            a += ca + cb
+            b += cb
+        if not tensor:
+            a += 1
+        else:
+            a += s.symbol != z
+            if s.symbol.factor == "Y":
+                b += s.symbol.arity
+        memo[id(s)] = (s, a, b)
+        return a, b
+
+    return measure
 
 
 def complexity(pool: SymbolPool, t: Term, mode: RewriteMode) -> int:
-    if mode.kind == "coproduct":
-        return symbol_count(t)
-    z = pool.z
+    return _measurer(pool, mode)(t)[0]
 
-    def walk(s: Term, depth: int) -> int:
+
+def _drop(measure, before: Term, after: Term, depth: int) -> int:
+    """How much contracting before to after at the given depth lowers the
+    complexity of the whole term."""
+    (a0, b0), (a1, b1) = measure(before), measure(after)
+    return a0 - a1 + depth * (b0 - b1)
+
+
+def _normalizer(pool: SymbolPool, mode: RewriteMode,
+                trace: Optional[list] = None):
+    """The leftmost-innermost normal form, as a function of the term.
+
+    It normalizes the children of a node left to right, then contracts
+    the first local redex at the node and normalizes the reduct in its
+    place.  By then no redex is left below the node or to its left, so
+    these are the steps of contracting the first hit of the post-order
+    walk again and again, without restarting the walk from the root.
+
+    The memo maps id(node) to (node, normal form); it holds each key node,
+    so no id is reused while the memo lives.  Without a trace it keeps
+    every node it normalizes.  A one-step reduct shares every subtree off
+    its redex path with its term, so it is normalized along that path
+    only.  With a trace it keeps only nodes known to be normal, so a
+    subterm object that stands at two positions records its steps at
+    each, and every step is appended as a Step on the whole term.
+
+    Each contraction must lower the complexity of the whole term, which
+    is computed from the contracted subterm at its depth, and a term t
+    gets at most complexity(t) steps.
+    """
+    local = _local_rules(pool, mode)
+    measure = _measurer(pool, mode)
+    memo: dict[int, tuple[Term, Term]] = {}
+    path: list[int] = []
+    whole: Optional[Term] = None  # the whole term, for the trace
+    left = 0  # steps left in the budget
+
+    def norm(s: Term, depth: int) -> Term:
+        nonlocal whole, left
         if isinstance(s, Var):
-            return 0
-        total = 0
-        if s.symbol != z:
-            total += 1
-        if s.symbol.factor == "Y":
-            total += depth * s.symbol.arity
-        return total + sum(walk(c, depth + 1) for c in s.children)
+            return s
+        hit = memo.get(id(s))
+        if hit is not None:
+            return hit[1]
+        start = node = s
+        while True:
+            kids = node.children
+            if kids:
+                new, changed = [], False
+                for i, c in enumerate(kids):
+                    path.append(i)
+                    k = norm(c, depth + 1)
+                    path.pop()
+                    new.append(k)
+                    changed = changed or k is not c
+                if changed:
+                    node = App(node.symbol, tuple(new))
+            hits = local(pool, node)
+            if not hits:
+                memo[id(node)] = (node, node)
+                break
+            reduct, rule = hits[0]
+            if _drop(measure, node, reduct, depth) <= 0:
+                raise RewriteError(f"rule {rule} failed to decrease "
+                                   f"complexity at {tuple(path)}")
+            if left <= 0:
+                raise RewriteError("step budget exceeded; descent is broken")
+            left -= 1
+            if trace is not None:
+                at = tuple(path)
+                after = replace_at(whole, at, reduct)
+                trace.append(Step(rule, at, whole, after))
+                whole = after
+            if isinstance(reduct, Var):
+                node = reduct
+                break
+            hit = memo.get(id(reduct))
+            if hit is not None:
+                node = hit[1]
+                break
+            node = reduct
+        if trace is None:
+            memo[id(start)] = (start, node)
+        return node
 
-    return walk(t, 0)
+    def normal_form(t: Term) -> Term:
+        nonlocal whole, left
+        whole, left = t, measure(t)[0]
+        return norm(t, 0)
+
+    return normal_form
 
 
 def reduce_term(pool: SymbolPool, t: Term, mode: RewriteMode,
                 strategy: str = "leftmost_innermost",
                 seed: Optional[int] = None) -> tuple[Term, list[Step]]:
-    """Reduce to a normal form; the step budget is the initial complexity,
-    which suffices because every step strictly decreases it."""
-    budget = weight = complexity(pool, t, mode)
-    rng = random.Random(seed) if strategy == "random" else None
+    """Reduce to a normal form and list the steps taken: leftmost-innermost,
+    or with strategy "random" a uniform draw from every redex at each
+    step.  The step budget is the initial complexity, which suffices
+    because every step strictly decreases it."""
     trace: list[Step] = []
+    if strategy != "random":
+        return _normalizer(pool, mode, trace)(t), trace
+    measure = _measurer(pool, mode)
+    rng = random.Random(seed)
     current = t
-    for _ in range(budget + 1):
-        if rng is None:
-            hit = next(_redexes(pool, current, mode), None)
-        else:
-            reducts = one_step_reducts(pool, current, mode)
-            hit = reducts[rng.randrange(len(reducts))] if reducts else None
-        if hit is None:
+    for _ in range(measure(t)[0] + 1):
+        hits = _redexes(pool, current, mode)
+        if not hits:
             return current, trace
-        after, rule, path = hit
-        after_weight = complexity(pool, after, mode)
-        if after_weight >= weight:
+        node, reduct, rule, path = hits[rng.randrange(len(hits))]
+        if _drop(measure, node, reduct, len(path)) <= 0:
             raise RewriteError(
                 f"rule {rule} failed to decrease complexity at {path}")
+        after = replace_at(current, path, reduct)
         trace.append(Step(rule, path, current, after))
-        current, weight = after, after_weight
+        current = after
     raise RewriteError("step budget exceeded; descent is broken")
 
 
@@ -495,15 +630,11 @@ def check_criteria(pool: SymbolPool, mode: RewriteMode, count: int = 200,
     equiv = CriterionReport("equivariance of reduction")
     outer = CriterionReport("congruence in the outer slot")
     inner = CriterionReport("congruence in the inner slots")
-    normal_forms: dict = {}
-
-    def normal(s: Term) -> Term:
-        if s not in normal_forms:
-            normal_forms[s] = reduce_term(pool, s, mode)[0]
-        return normal_forms[s]
-
     for _ in range(count):
         t = fuzz_term(pool, rng, max_symbols, symbols)
+        # the fuzzed terms share no node, so a memo per term loses no
+        # work, and memory does not grow with count
+        normal = _normalizer(pool, mode)
         reducts = one_step_reducts(pool, t, mode)
         for a in range(len(reducts)):
             for b in range(a + 1, len(reducts)):
@@ -517,7 +648,7 @@ def check_criteria(pool: SymbolPool, mode: RewriteMode, count: int = 200,
         g = rng.randrange(pool.group.order)
         sigma = random_perm(rng, n)
         moved = act_g(pool, g, act_sigma(t, sigma))
-        lhs, _ = reduce_term(pool, moved, mode)
+        lhs = normal(moved)
         nf = normal(t)
         rhs = act_g(pool, g, act_sigma(nf, sigma))
         equiv.checked += 1
@@ -528,16 +659,16 @@ def check_criteria(pool: SymbolPool, mode: RewriteMode, count: int = 200,
                 "moved then reduced": format_term(lhs)}
         args = [fuzz_term(pool, rng, 3, symbols) for _ in range(n)]
         whole = gamma(t, args)
-        nf_whole, _ = reduce_term(pool, whole, mode)
+        nf_whole = normal(whole)
         outer.checked += 1
-        via_outer, _ = reduce_term(pool, gamma(nf, args), mode)
+        via_outer = normal(gamma(nf, args))
         if nf_whole != via_outer:
             outer.counterexample = outer.counterexample or {
                 "term": format_term(t), "whole": format_term(nf_whole),
                 "outer-first": format_term(via_outer)}
         inner.checked += 1
         reduced_args = [normal(s) for s in args]
-        via_inner, _ = reduce_term(pool, gamma(t, reduced_args), mode)
+        via_inner = normal(gamma(t, reduced_args))
         if nf_whole != via_inner:
             inner.counterexample = inner.counterexample or {
                 "term": format_term(t), "whole": format_term(nf_whole),
@@ -701,6 +832,14 @@ def fixed_structure(pool: SymbolPool, t: Term, H: Subgroup
         return None
 
 
+def _exhibits(pool: SymbolPool, t: Term, structure: FiniteGSet) -> bool:
+    """Whether t is fixed under the graph of an already validated action,
+    with exactly that action on its slots.  Rows equal to an action's rows
+    are an action, so no FiniteGSet is built."""
+    return all(fixed_perm(pool, t, h) == row
+               for h, row in zip(structure.subgroup.members, structure.act))
+
+
 @dataclass
 class Witness:
     """A term fixed by the graph subgroup of one admissible transfer."""
@@ -848,11 +987,9 @@ class WitnessFactory:
                 if struct is None:
                     raise RewriteError("chain composite lost its fixedness")
                 witness = Witness(term, H, struct)
-        nf, _ = reduce_term(self.pool, witness.term, mode)
-        nf_struct = fixed_structure(self.pool, nf, witness.subgroup)
-        verified = (nf_struct is not None
-                    and tuple(nf_struct.act) == tuple(witness.structure.act))
+        nf = _normalizer(self.pool, mode)(witness.term)
         return AdmissibilityWitness((k_id, h_id), witness.term,
                                     witness.subgroup, witness.structure,
-                                    nf, mode.kind, verified)
+                                    nf, mode.kind,
+                                    _exhibits(self.pool, nf, witness.structure))
 

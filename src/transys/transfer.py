@@ -345,8 +345,8 @@ def meet(s: TransferSystem, t: TransferSystem) -> TransferSystem:
 def join(s: TransferSystem, t: TransferSystem) -> TransferSystem:
     """Least upper bound: the closure of the union."""
     _require_same_group(s, t)
-    core = _core(s.lattice)
-    return core.system(core.close(s.mask | t.mask))
+    return TransferSystem(s.group, _core(s.lattice).close(s.mask | t.mask),
+                          s.lattice)
 
 
 def enumerate_transfer_systems(G: Group,
@@ -438,21 +438,30 @@ def ts_to_json(t: TransferSystem) -> dict:
     return {"group": group_to_json(t.group), "pairs": [list(p) for p in t.pairs()]}
 
 
-def rel_from_json(data) -> tuple[SubgroupLattice, Rel]:
-    """A {"group", "pairs"} object as its lattice and raw relation matrix,
-    unvalidated but for ids and strict pairs (no [i, i])."""
-    lat = lattice_of(group_from_json(
-        json_field(data, "group", "transfer system")))
+def _relation_from_json(data) -> tuple[Group, SubgroupLattice, Rel]:
+    G = group_from_json(json_field(data, "group", "transfer system"))
+    lat = lattice_of(G)
     pairs = json_field(data, "pairs", "transfer system")
     rel = rel_from_pairs(lat.count, pairs)
     for i, j in pairs:
         if i == j:
             raise TransferSystemError(Violation("strict pair", {"pair": [i, j]}))
+    return G, lat, rel
+
+
+def rel_from_json(data) -> tuple[SubgroupLattice, Rel]:
+    """A {"group", "pairs"} object as its lattice and raw relation matrix,
+    unvalidated but for ids and strict pairs (no [i, i])."""
+    _, lat, rel = _relation_from_json(data)
     return lat, rel
 
 
 def ts_from_json(data) -> TransferSystem:
-    return validate(*rel_from_json(data))
+    """A validated system on the group it was read with.  Lattices are
+    cached per equal group, and equality ignores the name, so the
+    lattice's group may carry the name of another equal group."""
+    G, lat, rel = _relation_from_json(data)
+    return TransferSystem(G, validate(lat, rel).mask, lat)
 
 
 def hasse_dot(systems: Sequence[TransferSystem]) -> str:

@@ -116,6 +116,24 @@ def test_ts_meet_across_groups_names_both(tmp_path, capsys):
         assert "Group(C4, order=4)" in err and "Group(S3, order=6)" in err
 
 
+def test_ts_meet_join_name_the_first_operand_group(tmp_path, capsys):
+    # lattices are cached per equal group, and equality ignores the name:
+    # an unnamed C4 table used to lend "G" to a system read as "C4", or
+    # the other way round, whichever reached the cache first
+    C4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    u = tmp_path / "u.json"
+    n = tmp_path / "n.json"
+    u.write_text(json.dumps({"group": {"mul": C4}, "pairs": [[0, 1]]}))
+    n.write_text(json.dumps({"group": "C4", "pairs": [[1, 2]]}))
+    for first, second, name in ((u, n, "G"), (n, u, "C4")):
+        for action, pairs in (("join", [[0, 1], [0, 2], [1, 2]]),
+                              ("meet", [])):
+            code, out, _ = run(capsys, "ts", action, str(first), str(second))
+            data = json.loads(out)
+            assert code == 0 and data["pairs"] == pairs
+            assert data["group"]["name"] == name, (action, first.name)
+
+
 def test_ts_catalog_group_values_of_the_wrong_type_rejected(tmp_path, capsys):
     # "4" and 4.0 used to escape as TypeError tracebacks, and true built
     # a one-element group named CTrue

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from transys import rewrite
 from transys.catalog import group_by_name
 from transys.groups import (
     compose,
@@ -245,6 +246,108 @@ def test_reduce_contract():
     e = next(s for s in pool.symbols if s.factor == "X" and s.arity == 0)
     _, trace = reduce_term(pool, App(e, ()), TENSOR)
     assert trace[0].rule == "d"
+
+
+def _stalling(rules):
+    """A local rule set that also rewrites every binary node to an equal
+    copy of itself, which does not lower the complexity."""
+    def local(pool, t):
+        out = rules(pool, t)
+        if isinstance(t, App) and t.symbol.arity == 2:
+            out = [(App(t.symbol, t.children), "stall")] + out
+        return out
+
+    return local
+
+
+def _stalling_cases(monkeypatch):
+    C2, free_pool = _c2_pools()
+    as_p = as_pool(C2, 12)
+    monkeypatch.setattr(rewrite, "_local_coproduct",
+                        _stalling(rewrite._local_coproduct))
+    monkeypatch.setattr(rewrite, "_local_tensor",
+                        _stalling(rewrite._local_tensor))
+    p = next(s for s in as_p.symbols if s.arity == 2)
+    q = next(s for s in free_pool.symbols if s.factor == "X" and s.arity == 2)
+    return ((as_p, COPRODUCT, App(p, (Var(1), Var(2)))),
+            (free_pool, TENSOR, App(q, (Var(1), Var(2)))))
+
+
+def test_descent_guard_rejects_a_rule_that_does_not_descend(monkeypatch):
+    """Each contraction is checked to lower the complexity, in the traced
+    normalizer, the random strategy, the memoized normal forms of
+    `check_criteria` and the join witnesses."""
+    stalled = "rule stall failed to decrease complexity"
+    for pool, mode, t in _stalling_cases(monkeypatch):
+        with pytest.raises(RewriteError, match=stalled):
+            reduce_term(pool, t, mode)
+        with pytest.raises(RewriteError, match=stalled):
+            reduce_term(pool, App(t.symbol, (t, Var(3))), mode,
+                        strategy="random", seed=0)
+        with pytest.raises(RewriteError, match=stalled):
+            check_criteria(pool, mode, count=3, seed=0, max_symbols=4)
+    S = free_model(enumerate_transfer_systems(group_by_name("C2"))[-1])
+    factory = WitnessFactory(S, S)
+    for mode in (COPRODUCT, TENSOR):
+        with pytest.raises(RewriteError, match=stalled):
+            factory.witness(0, 1, mode)
+
+
+def test_descent_guard_weighs_the_redex_at_its_depth(monkeypatch):
+    """h(k(x), y) -> g(x, y), with g a binary Y-symbol, drops one symbol
+    but adds 2d for the arity of g at depth d: a descent at the root, and
+    none one level down."""
+    C1 = group_by_name("C1")
+    h, k = OpSymbol("X", 0, 2), OpSymbol("X", 1, 1)
+    g, z = OpSymbol("Y", 0, 2), OpSymbol("Y", 1, 0)
+    pool = SymbolPool(C1, [h, k, g, z],
+                      {(s, 0): (s, identity_perm(s.arity))
+                       for s in (h, k, g, z)}, z=z)
+    rules = rewrite._local_tensor
+
+    def widening(pool, t):
+        out = rules(pool, t)
+        if (isinstance(t, App) and t.symbol == h
+                and isinstance(t.children[0], App)
+                and t.children[0].symbol == k):
+            out.append((App(g, t.children[0].children + t.children[1:]),
+                        "widen"))
+        return out
+
+    monkeypatch.setattr(rewrite, "_local_tensor", widening)
+    root = App(h, (App(k, (Var(1),)), Var(2)))
+    for strategy in ("leftmost_innermost", "random"):
+        nf, _ = reduce_term(pool, root, TENSOR, strategy=strategy, seed=0)
+        assert nf == App(g, (Var(1), Var(2)))
+        with pytest.raises(RewriteError, match=r"widen failed to decrease "
+                                               r"complexity at \(0,\)"):
+            reduce_term(pool, App(h, (root, Var(3))), TENSOR,
+                        strategy=strategy, seed=0)
+
+
+def test_step_budget_is_the_complexity_of_the_term(monkeypatch):
+    """A measure off by a constant keeps every drop, so only the step
+    budget, the complexity of the whole term, stops the reduction."""
+    measurer = rewrite._measurer
+
+    def shifted(pool, mode):
+        measure = measurer(pool, mode)
+        return lambda t: (measure(t)[0] - 100, measure(t)[1])
+
+    C2, free_pool = _c2_pools()
+    as_p = as_pool(C2, 12)
+    p = next(s for s in as_p.symbols if s.arity == 2)
+    unit = next(s for s in as_p.symbols if s.arity == 1)
+    e = next(s for s in free_pool.symbols if s.factor == "X" and s.arity == 0)
+    monkeypatch.setattr(rewrite, "_measurer", shifted)
+    for pool, mode, t in ((as_p, COPRODUCT, App(p, (App(unit, (Var(1),)),
+                                                   Var(2)))),
+                          (free_pool, TENSOR, App(e, ()))):
+        for strategy in ("leftmost_innermost", "random"):
+            with pytest.raises(RewriteError, match="step budget exceeded"):
+                reduce_term(pool, t, mode, strategy=strategy, seed=0)
+        with pytest.raises(RewriteError, match="step budget exceeded"):
+            check_criteria(pool, mode, count=3, seed=0, max_symbols=4)
 
 
 def test_normal_form_strategy_independence():

@@ -4,7 +4,14 @@ the pre-order redex list ranked by `_pick_leftmost_innermost`, the
 normalizer built on it, joinability by intersecting full descendant sets
 (`_descendants`), the witness table that re-ran the transfer-system
 closure on terms (`SeedWitnessTable._saturate`), and the pair pool built
-and validated whole for every pair (`seed_pool_from_free_models`)."""
+and validated whole for every pair (`seed_pool_from_free_models`).
+
+The normalizer that restarted its post-order walk from the root after
+every step and weighed the whole term after every step
+(`restart_reduce_term`, random strategy included), `check_criteria` with
+normal forms cached by structure on top of it, and join witnesses
+verified by building a `FiniteGSet` for the normal form are kept as
+oracles too (`restart_check_criteria`, `restart_witness`)."""
 
 import copy
 import functools
@@ -19,7 +26,10 @@ from transys.operads import free_model, symseq_transfer
 from transys.rewrite import (
     COPRODUCT,
     TENSOR,
+    AdmissibilityWitness,
     App,
+    CriteriaReport,
+    CriterionReport,
     OpSymbol,
     RewriteError,
     Step,
@@ -29,22 +39,29 @@ from transys.rewrite import (
     WitnessFactory,
     WitnessTable,
     _compose_witnesses,
+    _exhibits,
     _local_coproduct,
     _local_tensor,
+    _normalizer,
     act_g,
+    act_sigma,
     as_pool,
     check_criteria,
     complexity,
     factor_part,
     fixed_structure,
+    format_term,
     fuzz_term,
     gamma,
     marked_symbols,
     one_step_reducts,
     orbit_symbols,
     pool_from_free_models,
+    random_perm,
     reduce_term,
     replace_at,
+    symbol_count,
+    term_arity,
 )
 from transys.groups import FiniteGSet, Subgroup, identity_perm, iso_key, lattice_of
 from transys.transfer import enumerate_transfer_systems, join
@@ -246,6 +263,144 @@ def _descendants(pool, t, mode, cache):
     return out
 
 
+def restart_redexes(pool, t, mode):
+    """The post-order walk, each hit as (whole reduct, rule, path)."""
+    local = _local_coproduct if mode.kind == "coproduct" else _local_tensor
+
+    def walk(s, path):
+        if isinstance(s, App):
+            for i, c in enumerate(s.children):
+                yield from walk(c, path + (i,))
+        for reduct, rule in local(pool, s):
+            yield replace_at(t, path, reduct), rule, path
+
+    return walk(t, ())
+
+
+def restart_complexity(pool, t, mode):
+    if mode.kind == "coproduct":
+        return symbol_count(t)
+    z = pool.z
+
+    def walk(s, depth):
+        if isinstance(s, Var):
+            return 0
+        total = 0
+        if s.symbol != z:
+            total += 1
+        if s.symbol.factor == "Y":
+            total += depth * s.symbol.arity
+        return total + sum(walk(c, depth + 1) for c in s.children)
+
+    return walk(t, 0)
+
+
+def restart_reduce_term(pool, t, mode, strategy="leftmost_innermost",
+                        seed=None):
+    """Walks again from the root after every step: its first hit, or a
+    uniform draw from the whole walk; weighs the whole term each step."""
+    budget = weight = restart_complexity(pool, t, mode)
+    rng = random.Random(seed) if strategy == "random" else None
+    trace = []
+    current = t
+    for _ in range(budget + 1):
+        if rng is None:
+            hit = next(restart_redexes(pool, current, mode), None)
+        else:
+            reducts = list(restart_redexes(pool, current, mode))
+            hit = reducts[rng.randrange(len(reducts))] if reducts else None
+        if hit is None:
+            return current, trace
+        after, rule, path = hit
+        after_weight = restart_complexity(pool, after, mode)
+        if after_weight >= weight:
+            raise RewriteError(
+                f"rule {rule} failed to decrease complexity at {path}")
+        trace.append(Step(rule, path, current, after))
+        current, weight = after, after_weight
+    raise RewriteError("step budget exceeded; descent is broken")
+
+
+def restart_check_criteria(pool, mode, count=200, seed=0, max_symbols=8,
+                           symbols=None):
+    """`check_criteria` on `restart_reduce_term`, with the normal forms
+    of the reducts, the term and the arguments cached by structure."""
+    rng = random.Random(seed)
+    joins = CriterionReport("local joinability")
+    equiv = CriterionReport("equivariance of reduction")
+    outer = CriterionReport("congruence in the outer slot")
+    inner = CriterionReport("congruence in the inner slots")
+    normal_forms = {}
+
+    def normal(s):
+        if s not in normal_forms:
+            normal_forms[s] = restart_reduce_term(pool, s, mode)[0]
+        return normal_forms[s]
+
+    for _ in range(count):
+        t = fuzz_term(pool, rng, max_symbols, symbols)
+        reducts = list(restart_redexes(pool, t, mode))
+        for a in range(len(reducts)):
+            for b in range(a + 1, len(reducts)):
+                joins.checked += 1
+                if normal(reducts[a][0]) != normal(reducts[b][0]):
+                    joins.counterexample = joins.counterexample or {
+                        "term": format_term(t),
+                        "left": format_term(reducts[a][0]),
+                        "right": format_term(reducts[b][0])}
+        n = term_arity(t)
+        g = rng.randrange(pool.group.order)
+        sigma = random_perm(rng, n)
+        moved = act_g(pool, g, act_sigma(t, sigma))
+        lhs, _ = restart_reduce_term(pool, moved, mode)
+        nf = normal(t)
+        rhs = act_g(pool, g, act_sigma(nf, sigma))
+        equiv.checked += 1
+        if lhs != rhs:
+            equiv.counterexample = equiv.counterexample or {
+                "term": format_term(t), "g": g, "sigma": list(sigma),
+                "reduced then moved": format_term(rhs),
+                "moved then reduced": format_term(lhs)}
+        args = [fuzz_term(pool, rng, 3, symbols) for _ in range(n)]
+        whole = gamma(t, args)
+        nf_whole, _ = restart_reduce_term(pool, whole, mode)
+        outer.checked += 1
+        via_outer, _ = restart_reduce_term(pool, gamma(nf, args), mode)
+        if nf_whole != via_outer:
+            outer.counterexample = outer.counterexample or {
+                "term": format_term(t), "whole": format_term(nf_whole),
+                "outer-first": format_term(via_outer)}
+        inner.checked += 1
+        reduced_args = [normal(s) for s in args]
+        via_inner, _ = restart_reduce_term(pool, gamma(t, reduced_args), mode)
+        if nf_whole != via_inner:
+            inner.counterexample = inner.counterexample or {
+                "term": format_term(t), "whole": format_term(nf_whole),
+                "inner-first": format_term(via_inner)}
+    return CriteriaReport([joins, equiv, outer, inner])
+
+
+def restart_witness(factory, k_id, h_id, mode):
+    """`WitnessFactory.witness`, reducing with `restart_reduce_term` and
+    verifying the normal form by a validated `FiniteGSet`."""
+    if not factory.join.has(k_id, h_id):
+        raise RewriteError(f"pair ({k_id},{h_id}) is not in the join")
+    chain = factory._chain(k_id, h_id)
+    first = chain[0]
+    witness = first[2].witness(first[0], first[1])
+    for prev, node, table in chain[1:]:
+        outer = table.witness(prev, node)
+        term = _compose_witnesses(factory.pool, witness, outer)
+        H = factory.lat.subgroups[node]
+        witness = Witness(term, H, fixed_structure(factory.pool, term, H))
+    nf, _ = restart_reduce_term(factory.pool, witness.term, mode)
+    nf_struct = fixed_structure(factory.pool, nf, witness.subgroup)
+    verified = (nf_struct is not None
+                and tuple(nf_struct.act) == tuple(witness.structure.act))
+    return AdmissibilityWitness((k_id, h_id), witness.term, witness.subgroup,
+                                witness.structure, nf, mode.kind, verified)
+
+
 # ---------------------------------------------------------------------------
 # seeded term streams
 
@@ -308,7 +463,7 @@ def test_normal_form_joinability_matches_descendants(label):
     assert pairs > 200
 
 
-def test_local_joinability_can_fail(parse_term):
+def _nonconfluent_pool():
     """h(h(x, y), z) -> a(x, y, z) and h(x, h(y, z)) -> b(x, y, z) with a
     and b distinct ternary symbols: the overlap has two normal forms."""
     h, a, b = OpSymbol("X", 0, 2), OpSymbol("X", 1, 3), OpSymbol("X", 2, 3)
@@ -316,6 +471,11 @@ def test_local_joinability_can_fail(parse_term):
                       {(s, 0): (s, identity_perm(s.arity)) for s in (h, a, b)},
                       compose_table={(h, 1, h): (a, identity_perm(3)),
                                      (h, 2, h): (b, identity_perm(3))})
+    return pool, h
+
+
+def test_local_joinability_can_fail(parse_term):
+    pool, h = _nonconfluent_pool()
     rep = check_criteria(pool, COPRODUCT, count=50, seed=1, max_symbols=6,
                          symbols=[h])
     joins = rep.reports[0]
@@ -328,6 +488,103 @@ def test_local_joinability_can_fail(parse_term):
     cache: dict = {}
     assert not (_descendants(pool, left, COPRODUCT, cache)
                 & _descendants(pool, right, COPRODUCT, cache))
+
+
+# ---------------------------------------------------------------------------
+# the normalizer without restarts against the restarting one
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_random_strategy_matches_restarting_loop(label):
+    pool, mode, terms = _terms(label)
+    steps = 0
+    for t in terms:
+        assert complexity(pool, t, mode) == restart_complexity(pool, t, mode)
+        for seed in range(3):
+            nf, trace = reduce_term(pool, t, mode, strategy="random",
+                                    seed=seed)
+            assert (nf, trace) == restart_reduce_term(pool, t, mode,
+                                                      "random", seed)
+            steps += len(trace)
+    assert steps > 200
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_memoized_normal_forms_match_traced(label):
+    """One memo for the whole stream: every term and every one-step
+    reduct, whose subtrees off the redex path are the term's own."""
+    pool, mode, terms = _terms(label)
+    normal = _normalizer(pool, mode)
+    for t in terms:
+        for s in [r for r, _, _ in one_step_reducts(pool, t, mode)] + [t]:
+            assert normal(s) == restart_reduce_term(pool, s, mode)[0]
+
+
+def _nodes(t):
+    if isinstance(t, App):
+        yield t
+        for c in t.children:
+            yield from _nodes(c)
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_reducts_are_normalized_along_their_redex_path_only(label,
+                                                            monkeypatch):
+    """Once a term is normalized, no node of it is looked at again when
+    the normalizer takes one of its one-step reducts."""
+    pool, mode, terms = _terms(label)
+    seen = []
+    name = "_local_coproduct" if label == "coproduct" else "_local_tensor"
+    rules = getattr(rewrite, name)
+    monkeypatch.setattr(rewrite, name,
+                        lambda pool, s: seen.append(s) or rules(pool, s))
+    looked_at = 0
+    for t in terms:
+        normal = _normalizer(pool, mode)
+        normal(t)
+        own = {id(s) for s in _nodes(t)}
+        for r, _, _ in one_step_reducts(pool, t, mode):
+            seen.clear()
+            normal(r)
+            assert not any(id(s) in own for s in seen)
+            looked_at += len(seen)
+    assert looked_at > 200
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_check_criteria_matches_restarting_normalizer(label):
+    pool, mode, symbols, max_symbols = CONFIGS[label]()
+    for seed in range(3):
+        args = dict(count=100, seed=seed, max_symbols=max_symbols,
+                    symbols=symbols)
+        assert (check_criteria(pool, mode, **args).to_json()
+                == restart_check_criteria(pool, mode, **args).to_json())
+
+
+def test_check_criteria_counterexamples_match_restarting_normalizer():
+    pool, h = _nonconfluent_pool()
+    failed = 0
+    for seed in range(6):
+        args = dict(count=30, seed=seed, max_symbols=6, symbols=[h])
+        report = check_criteria(pool, COPRODUCT, **args).to_json()
+        assert report == restart_check_criteria(pool, COPRODUCT,
+                                                **args).to_json()
+        failed += not report["passed"]
+    assert failed
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_shared_subterm_records_its_steps_at_each_position(label):
+    """One reducible App object at two positions: the traced normalizer
+    memoizes only normal nodes, so it takes the steps at both."""
+    pool, mode, _, _ = CONFIGS[label]()
+    p = next(s for s in pool.symbols if s.factor == "X" and s.arity == 2)
+    u = next(s for s in pool.symbols if s.factor == "X" and s.arity == 0)
+    shared = App(p, (App(u, ()), App(u, ())))
+    t = App(p, (shared, shared))
+    nf, trace = reduce_term(pool, t, mode)
+    assert (nf, trace) == seed_reduce_term(pool, t, mode)
+    assert {step.path[0] for step in trace if step.path} == {0, 1}
+    assert _normalizer(pool, mode)(t) == nf
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +706,45 @@ def test_pair_pool_matches_per_pair_build(name):
                             == oracle.witness(k_id, h_id, mode))
                     witnesses += 1
     assert witnesses > 0
+
+
+@pytest.mark.parametrize("name", sorted(POOL_SLICES))
+def test_witness_verification_matches_validated_structure(name):
+    """Normal form, structure and verdict of every join witness, against
+    the restarting normalizer and a validated FiniteGSet of the normal
+    form."""
+    models = _models(name)[:POOL_SLICES[name]]
+    verified = 0
+    for S in models:
+        for T in models:
+            factory = WitnessFactory(S, T)
+            for k_id, h_id in factory.join.pairs():
+                for mode in (COPRODUCT, TENSOR):
+                    w = factory.witness(k_id, h_id, mode)
+                    assert w == restart_witness(factory, k_id, h_id, mode)
+                    verified += w.verified
+    assert verified > 0
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_SLICES))
+def test_exhibits_matches_validated_structure(name):
+    """Generator terms and their translates against the generator
+    structures of the same subgroup, either way round."""
+    verdicts = Counter()
+    for S in _models(name):
+        pool, base_x, _ = pool_from_free_models(S, S)
+        witnesses = WitnessTable(pool, S, base_x).witnesses.values()
+        for w in witnesses:
+            for g in w.subgroup.group.elements():
+                term = act_g(pool, g, w.term)
+                for v in witnesses:
+                    if v.subgroup != w.subgroup:
+                        continue
+                    fs = fixed_structure(pool, term, v.subgroup)
+                    expected = fs is not None and fs.act == v.structure.act
+                    assert _exhibits(pool, term, v.structure) == expected
+                    verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 @pytest.fixture

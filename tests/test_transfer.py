@@ -240,3 +240,16 @@ def test_json_roundtrip():
         data = ts_to_json(t)
         back = ts_from_json(data)
         assert back.rel == t.rel and back.group == G
+
+
+def test_system_reports_the_group_it_was_read_with():
+    """Both orders, whichever equal group reached `lattice_of` first."""
+    C4 = group_by_name("C4")
+    unnamed = {"group": {"mul": [list(row) for row in C4.mul]}, "pairs": []}
+    named = {"group": "C4", "pairs": [[0, 1]]}
+    for first, second in ((unnamed, named), (named, unnamed)):
+        a, b = ts_from_json(first), ts_from_json(second)
+        assert a.group == b.group == C4
+        assert ts_from_json(unnamed).group.name == "G"
+        assert ts_from_json(named).group.name == "C4"
+        assert join(a, b).group.name == meet(a, b).group.name == a.group.name
