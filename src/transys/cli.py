@@ -151,10 +151,7 @@ def cmd_functor(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        report = suites.run_suite(
-            args.suite, hom=args.hom, group=args.group, mode=args.mode,
-            seed=args.seed, count=args.count, window=args.window,
-            budget=args.budget)
+        report = suites.run_suite(**vars(args))
     except BudgetExceededError as err:
         _emit({"suite": args.suite, "outcome": "budget-exceeded",
                "detail": str(err)})
@@ -206,17 +203,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_fun.add_argument("--input", help="transfer-system JSON file")
     p_fun.set_defaults(run=cmd_functor)
 
-    p_ver = sub.add_parser("verify", help="run a verification suite")
+    # an option left out is absent from the parsed arguments, so the suite
+    # falls back on its own default
+    p_ver = sub.add_parser("verify", help="run a verification suite",
+                           argument_default=argparse.SUPPRESS)
     p_ver.add_argument("suite", choices=list(suites.SUITES))
     p_ver.add_argument("--hom", help="restrict to one catalog hom")
     p_ver.add_argument("--group", help="restrict to one catalog group")
-    p_ver.add_argument("--mode", default="tensor",
-                       choices=["tensor", "coproduct"],
+    p_ver.add_argument("--mode", choices=["tensor", "coproduct"],
                        help="rewrite mode for rewrite-criteria")
+    # every report echoes the seed, whichever suite it comes from
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--count", type=int, default=500,
+    p_ver.add_argument("--count", type=int,
                        help="fuzz count for rewrite-criteria")
-    p_ver.add_argument("--window", type=int, default=12,
+    p_ver.add_argument("--window", type=int,
                        help="fuzz term-size window (max_symbols) for "
                             "rewrite-criteria")
     p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET,

@@ -77,31 +77,23 @@ class LawReport:
 GALOIS_PAIRINGS = {("fL", "finvR"), ("finvL", "fR")}
 
 _FORWARD = {"fL", "fR"}        # Tr(source) -> Tr(target)
-_BACKWARD = {"finvL", "finvR"}  # Tr(target) -> Tr(source)
 
 
 def check_galois(f: Homomorphism, lower: str, upper: str,
                  source_systems: Sequence[TransferSystem],
-                 target_systems: Sequence[TransferSystem],
-                 enforce_pairing: bool = True) -> LawReport:
+                 target_systems: Sequence[TransferSystem]) -> LawReport:
     """Verify lower(x) <= y iff x <= upper(y) over the two full lattices.
 
     For (fL, finvR) the lower map goes Tr(source) -> Tr(target); for
     (finvL, fR) it goes the other way, so the roles of the two lattices
-    swap accordingly.  Non-adjoint pairings are rejected unless
-    ``enforce_pairing`` is off, in which case any direction-compatible
-    pairing runs and the report carries the counterexample it finds.
+    swap accordingly.  Pairings outside GALOIS_PAIRINGS are rejected.
     Each adjoint is applied once per system: upper before the loop, lower
     once per x.
     """
-    if (lower, upper) not in GALOIS_PAIRINGS and enforce_pairing:
+    if (lower, upper) not in GALOIS_PAIRINGS:
         raise GroupError(
             f"({lower}, {upper}) is not an adjoint pairing; "
             f"expected one of {sorted(GALOIS_PAIRINGS)}")
-    if not ((lower in _FORWARD and upper in _BACKWARD)
-            or (lower in _BACKWARD and upper in _FORWARD)):
-        raise GroupError(
-            f"({lower}, {upper}) do not point in opposite directions")
     if lower in _FORWARD:
         xs, ys = source_systems, target_systems
     else:

@@ -326,8 +326,8 @@ def all_subgroups(G: Group) -> tuple[Subgroup, ...]:
 
 
 class SubgroupLattice:
-    """Cached subgroup data for a fixed group: ids, containment, meets,
-    conjugation action, and conjugacy classes."""
+    """Cached subgroup data for a fixed group: ids, containment, meets and
+    the conjugation action."""
 
     def __init__(self, group: Group):
         self.group = group
@@ -351,20 +351,6 @@ class SubgroupLattice:
             for g in group.elements()
         )
         self.trivial_id = self.index[(0,)]
-        self.full_id = self.index[tuple(group.elements())]
-        reps = []
-        rep_of = [0] * self.count
-        assigned = [False] * self.count
-        for i in range(self.count):
-            if assigned[i]:
-                continue
-            cls = {self.conj_table[g][i] for g in group.elements()}
-            rep = min(cls)
-            reps.append(rep)
-            for j in cls:
-                assigned[j] = True
-                rep_of[j] = rep
-        self.class_rep = tuple(rep_of)
 
     def id_of(self, s: Subgroup) -> int:
         return self.index[s.members]
@@ -750,13 +736,13 @@ def graph_subgroup(G: Group, H: Subgroup, T: FiniteGSet) -> GraphSubgroup:
 
 
 def graph_conjugacy_label(gs: GraphSubgroup):
-    """Canonical label of a graph subgroup up to conjugacy in G x Sigma_n."""
-    G = gs.group
-    lat = lattice_of(G)
-    best = None
-    for g in G.elements():
-        conj_sub = gs.subgroup.conjugate(g)
-        key = (lat.id_of(conj_sub), iso_key(gs.hset.conjugate(g)))
-        if best is None or key < best:
-            best = key
-    return (gs.arity, best)
+    """Canonical label of a graph subgroup up to conjugacy in G x Sigma_n:
+    the least (id of H^g, orbit type of T^g) over g in G, read from
+    lattice ids, since the stabilizers of T^g are those of T conjugated
+    by g."""
+    lat = lattice_of(gs.group)
+    h = lat.id_of(gs.subgroup)
+    stabs = gs.hset.stabilizer_ids
+    return (gs.arity, min((c[h], tuple(sorted(lat.hclass_rep(c[h], c[k])
+                                              for k in stabs)))
+                          for c in lat.conj_table))

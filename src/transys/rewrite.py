@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .groups import (
     FiniteGSet,
@@ -289,15 +289,14 @@ def _local_rules(pool: SymbolPool, mode: RewriteMode):
     return _local_tensor
 
 
-def _local_coproduct(pool: SymbolPool, t: Term) -> list[tuple[Term, str]]:
-    out = []
+def _local_coproduct(pool: SymbolPool, t: Term) -> Iterator[tuple[Term, str]]:
     if not isinstance(t, App):
-        return out
+        return
     h = t.symbol
     if pool.x_identity is not None and h == pool.x_identity:
-        out.append((t.children[0], "a"))
+        yield t.children[0], "a"
     if pool.y_identity is not None and h == pool.y_identity:
-        out.append((t.children[0], "b"))
+        yield t.children[0], "b"
     for k, child in enumerate(t.children):
         if not isinstance(child, App):
             continue
@@ -311,21 +310,19 @@ def _local_coproduct(pool: SymbolPool, t: Term) -> list[tuple[Term, str]]:
         args = t.children[:k] + child.children + t.children[k + 1:]
         inv = invert(sigma)
         reduct = App(ell, tuple(args[inv[i]] for i in range(len(args))))
-        out.append((reduct, "c" if h.factor == "X" else "d"))
-    return out
+        yield reduct, "c" if h.factor == "X" else "d"
 
 
-def _local_tensor(pool: SymbolPool, t: Term) -> list[tuple[Term, str]]:
-    out = []
+def _local_tensor(pool: SymbolPool, t: Term) -> Iterator[tuple[Term, str]]:
     if not isinstance(t, App):
-        return out
+        return
     h = t.symbol
     z = pool.z
     m = h.arity
     if m > 0 and all(_is_z_call(pool, c) for c in t.children):
-        out.append((App(z, ()), "c"))
+        yield App(z, ()), "c"
     if m == 0 and h != z:
-        out.append((App(z, ()), "d"))
+        yield App(z, ()), "d"
     if h.factor == "X" and m > 0:
         z_pos = [i for i, c in enumerate(t.children) if _is_z_call(pool, c)]
         rest = [i for i in range(m) if i not in z_pos]
@@ -342,8 +339,7 @@ def _local_tensor(pool: SymbolPool, t: Term) -> list[tuple[Term, str]]:
                                     else t.children[i].children[j]
                                     for i in range(m))
                         cols.append(App(h, row))
-                    out.append((App(f, tuple(cols)), "a" if not z_pos else "b"))
-    return out
+                    yield App(f, tuple(cols)), "a" if not z_pos else "b"
 
 
 def _redexes(pool: SymbolPool, t: Term, mode: RewriteMode
@@ -471,11 +467,11 @@ def _normalizer(pool: SymbolPool, mode: RewriteMode,
                     changed = changed or k is not c
                 if changed:
                     node = App(node.symbol, tuple(new))
-            hits = local(pool, node)
-            if not hits:
+            hit = next(iter(local(pool, node)), None)
+            if hit is None:
                 memo[id(node)] = (node, node)
                 break
-            reduct, rule = hits[0]
+            reduct, rule = hit
             if _drop(measure, node, reduct, depth) <= 0:
                 raise RewriteError(f"rule {rule} failed to decrease "
                                    f"complexity at {tuple(path)}")

@@ -1,9 +1,11 @@
 """Named verification suites: each one mechanically re-checks a lattice or
 operad identity over the built-in catalog and reports machine-readable
-results.  The CLI `verify` command and the CI matrix both run these."""
+results.  The CLI `verify` command runs these, and the tests pin each
+suite's report at its defaults."""
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -13,28 +15,13 @@ from .groups import Homomorphism, lattice_of, right_coset_gset
 from .transfer import enumerate_transfer_systems
 
 #: composable chains exercised by the functoriality suite
-DEFAULT_CHAINS = (
+CHAINS = (
     ("C2_into_C4", "C4_to_S3"),
     ("C2_into_C4", "C4_onto_C2"),
     ("C4_onto_C2", "C2_into_C8"),
     ("C4_onto_C2", "C2_into_C4"),
     ("C4_into_C8", "C8_onto_C4"),
     ("id_C4", "C4_to_S3"),
-)
-
-SUITES = (
-    "galois",
-    "functoriality",
-    "injective-collapse",
-    "thmA-meet",
-    "thmA-join",
-    "thmA-tensor",
-    "thmB-res",
-    "thmB-ind",
-    "thmB-coind",
-    "rewrite-criteria",
-    "double-coset",
-    "noninj-ind",
 )
 
 
@@ -66,22 +53,32 @@ class SuiteReport:
                 "failures": self.failures, "notes": self.notes}
 
 
-def _lattices(f: Homomorphism, budget: int):
-    return (enumerate_transfer_systems(f.source, budget),
-            enumerate_transfer_systems(f.target, budget))
-
-
-def _resolve_homs(hom: Optional[str]) -> dict[str, Homomorphism]:
+def _homs(hom: Optional[str], defaults: Optional[Sequence[str]] = None
+          ) -> dict[str, Homomorphism]:
+    """The catalog hom named `hom`; without one, those named in `defaults`,
+    or the whole catalog."""
     if hom is not None:
         return {hom: catalog_hom(hom)}
-    return catalog_homs()
+    homs = catalog_homs()
+    return homs if defaults is None else {name: homs[name] for name in defaults}
+
+
+def _model_pairs(group: str, budget: int):
+    """(s, S, t, T) for every ordered pair of transfer systems s, t on
+    `group`, with S and T their free models."""
+    systems = enumerate_transfer_systems(group_by_name(group), budget)
+    models = [operads.free_model(s) for s in systems]
+    for s, S in zip(systems, models):
+        for t, T in zip(systems, models):
+            yield s, S, t, T
 
 
 def suite_galois(hom: Optional[str] = None,
                  budget: int = transfer.DEFAULT_BUDGET) -> SuiteReport:
     report = SuiteReport("galois", {"hom": hom or "catalog"})
-    for name, f in _resolve_homs(hom).items():
-        src, tgt = _lattices(f, budget)
+    for name, f in _homs(hom).items():
+        src = enumerate_transfer_systems(f.source, budget)
+        tgt = enumerate_transfer_systems(f.target, budget)
         report.absorb(functors.check_galois(f, "fL", "finvR", src, tgt),
                       {"hom": name})
         report.absorb(functors.check_galois(f, "finvL", "fR", src, tgt),
@@ -89,10 +86,9 @@ def suite_galois(hom: Optional[str] = None,
     return report
 
 
-def suite_functoriality(chains: Sequence[tuple[str, str]] = DEFAULT_CHAINS,
-                        budget: int = transfer.DEFAULT_BUDGET) -> SuiteReport:
-    report = SuiteReport("functoriality", {"chains": [list(c) for c in chains]})
-    for name_h, name_k in chains:
+def suite_functoriality(budget: int = transfer.DEFAULT_BUDGET) -> SuiteReport:
+    report = SuiteReport("functoriality", {"chains": [list(c) for c in CHAINS]})
+    for name_h, name_k in CHAINS:
         h, k = catalog_hom(name_h), catalog_hom(name_k)
         systems_G = enumerate_transfer_systems(h.source, budget)
         systems_Gpp = enumerate_transfer_systems(k.target, budget)
@@ -105,14 +101,15 @@ def suite_injective_collapse(hom: Optional[str] = None,
                              budget: int = transfer.DEFAULT_BUDGET
                              ) -> SuiteReport:
     report = SuiteReport("injective-collapse", {"hom": hom or "catalog"})
-    for name, f in _resolve_homs(hom).items():
+    for name, f in _homs(hom).items():
         systems = enumerate_transfer_systems(f.target, budget)
         report.absorb(functors.check_pointwise_order(f, systems), {"hom": name})
     return report
 
 
-def suite_thmA_meet(groups: Sequence[str] = ("C4", "K4", "S3")) -> SuiteReport:
-    report = SuiteReport("thmA-meet", {"groups": list(groups)})
+def suite_thmA_meet(group: Optional[str] = None) -> SuiteReport:
+    groups = [group] if group is not None else ["C4", "K4", "S3"]
+    report = SuiteReport("thmA-meet", {"groups": groups})
     for name in groups:
         G = group_by_name(name)
         lat = lattice_of(G)
@@ -127,13 +124,9 @@ def suite_thmA_meet(groups: Sequence[str] = ("C4", "K4", "S3")) -> SuiteReport:
 def suite_thmA_join(group: str = "C4",
                     budget: int = transfer.DEFAULT_BUDGET) -> SuiteReport:
     report = SuiteReport("thmA-join", {"group": group})
-    G = group_by_name(group)
-    systems = enumerate_transfer_systems(G, budget)
-    models = [operads.free_model(s) for s in systems]
-    for s, S in zip(systems, models):
-        for t, T in zip(systems, models):
-            report.absorb(operads.coproduct_join_check(S, T),
-                          {"group": group, "s": s.pairs(), "t": t.pairs()})
+    for s, S, t, T in _model_pairs(group, budget):
+        report.absorb(operads.coproduct_join_check(S, T),
+                      {"group": group, "s": s.pairs(), "t": t.pairs()})
     return report
 
 
@@ -142,31 +135,23 @@ def suite_thmA_tensor(group: str = "C4",
     """Join pairs realized by fixed terms whose coproduct- and tensor-mode
     normal forms stay fixed."""
     report = SuiteReport("thmA-tensor", {"group": group})
-    G = group_by_name(group)
-    systems = enumerate_transfer_systems(G, budget)
-    models = [operads.free_model(s) for s in systems]
-    for s, S in zip(systems, models):
-        for t, T in zip(systems, models):
-            factory = rewrite.WitnessFactory(S, T)
-            for k_id, h_id in factory.join.pairs():
-                for mode in (rewrite.COPRODUCT, rewrite.TENSOR):
-                    w = factory.witness(k_id, h_id, mode)
-                    report.cases += 1
-                    if not w.verified:
-                        report.failures.append(
-                            {"pair": [k_id, h_id], "mode": mode.kind,
-                             "s": s.pairs(), "t": t.pairs(),
-                             "witness": rewrite.format_term(w.term)})
+    for s, S, t, T in _model_pairs(group, budget):
+        factory = rewrite.WitnessFactory(S, T)
+        for k_id, h_id in factory.join.pairs():
+            for mode in (rewrite.COPRODUCT, rewrite.TENSOR):
+                w = factory.witness(k_id, h_id, mode)
+                report.cases += 1
+                if not w.verified:
+                    report.failures.append(
+                        {"pair": [k_id, h_id], "mode": mode.kind,
+                         "s": s.pairs(), "t": t.pairs(),
+                         "witness": rewrite.format_term(w.term)})
     return report
 
 
 def suite_thmB_res(hom: Optional[str] = None,
                    budget: int = transfer.DEFAULT_BUDGET) -> SuiteReport:
-    homs = {hom: catalog_hom(hom)} if hom else {
-        "C4_to_S3": catalog_hom("C4_to_S3"),
-        "C2_into_C4": catalog_hom("C2_into_C4"),
-        "C4_onto_C2": catalog_hom("C4_onto_C2"),
-    }
+    homs = _homs(hom, ("C4_to_S3", "C2_into_C4", "C4_onto_C2"))
     report = SuiteReport("thmB-res", {"hom": list(homs)})
     for name, f in homs.items():
         systems = enumerate_transfer_systems(f.target, budget)
@@ -176,11 +161,7 @@ def suite_thmB_res(hom: Optional[str] = None,
 
 def suite_thmB_ind(hom: Optional[str] = None,
                    budget: int = transfer.DEFAULT_BUDGET) -> SuiteReport:
-    homs = {hom: catalog_hom(hom)} if hom else {
-        "C2_into_C4": catalog_hom("C2_into_C4"),
-        "C2_into_C8": catalog_hom("C2_into_C8"),
-        "C4_into_C8": catalog_hom("C4_into_C8"),
-    }
+    homs = _homs(hom, ("C2_into_C4", "C2_into_C8", "C4_into_C8"))
     report = SuiteReport("thmB-ind", {"hom": list(homs)})
     for name, m in homs.items():
         systems = enumerate_transfer_systems(m.source, budget)
@@ -189,7 +170,7 @@ def suite_thmB_ind(hom: Optional[str] = None,
 
 
 def suite_thmB_coind(group: Optional[str] = None) -> SuiteReport:
-    groups = [group] if group else list(ACCEPTANCE_GROUPS)
+    groups = [group] if group is not None else list(ACCEPTANCE_GROUPS)
     report = SuiteReport("thmB-coind", {"groups": groups})
     for name in groups:
         report.absorb(operads.theoremB_coind_check(group_by_name(name)),
@@ -198,11 +179,12 @@ def suite_thmB_coind(group: Optional[str] = None) -> SuiteReport:
 
 
 def suite_rewrite_criteria(mode: str = "tensor", seed: int = 0,
-                           count: int = 500, max_symbols: int = 12
-                           ) -> SuiteReport:
+                           count: int = 500, window: int = 12) -> SuiteReport:
+    """Fuzzed local confluence and termination; `window` bounds the size
+    (`max_symbols`) of each fuzzed term."""
     report = SuiteReport("rewrite-criteria",
                          {"mode": mode, "seed": seed, "count": count,
-                          "max_symbols": max_symbols})
+                          "max_symbols": window})
     C2 = group_by_name("C2")
     rmode = rewrite.RewriteMode(mode)
     if mode == "tensor":
@@ -211,10 +193,10 @@ def suite_rewrite_criteria(mode: str = "tensor", seed: int = 0,
         pool, _, _ = rewrite.pool_from_free_models(S, S)
         symbols = None
     else:
-        pool = rewrite.as_pool(C2, 4 * max_symbols)
+        pool = rewrite.as_pool(C2, 4 * window)
         symbols = [s for s in pool.symbols if s.arity <= 3]
     crit = rewrite.check_criteria(pool, rmode, count=count, seed=seed,
-                                  max_symbols=max_symbols, symbols=symbols)
+                                  max_symbols=window, symbols=symbols)
     for sub in crit.reports:
         report.absorb(sub, {"mode": mode})
     return report
@@ -222,11 +204,7 @@ def suite_rewrite_criteria(mode: str = "tensor", seed: int = 0,
 
 def suite_double_coset(hom: Optional[str] = None,
                        budget: int = transfer.DEFAULT_BUDGET) -> SuiteReport:
-    homs = {hom: catalog_hom(hom)} if hom else {
-        "C4_to_S3": catalog_hom("C4_to_S3"),
-        "C2_into_C4": catalog_hom("C2_into_C4"),
-        "C4_onto_C2": catalog_hom("C4_onto_C2"),
-    }
+    homs = _homs(hom, ("C4_to_S3", "C2_into_C4", "C4_onto_C2"))
     report = SuiteReport("double-coset", {"hom": list(homs)})
     for name, f in homs.items():
         for t in enumerate_transfer_systems(f.target, budget):
@@ -237,10 +215,7 @@ def suite_double_coset(hom: Optional[str] = None,
 
 
 def suite_noninj_ind(hom: Optional[str] = None) -> SuiteReport:
-    homs = {hom: catalog_hom(hom)} if hom else {
-        "C4_onto_C2": catalog_hom("C4_onto_C2"),
-        "bang_C2": catalog_hom("bang_C2"),
-    }
+    homs = _homs(hom, ("C4_onto_C2", "bang_C2"))
     report = SuiteReport("noninj-ind", {"hom": list(homs)})
     for name, f in homs.items():
         witness = operads.noninjective_induction_counterexample(f)
@@ -251,32 +226,28 @@ def suite_noninj_ind(hom: Optional[str] = None) -> SuiteReport:
     return report
 
 
-def run_suite(suite: str, *, hom: Optional[str] = None,
-              group: Optional[str] = None, mode: str = "tensor",
-              seed: int = 0, count: int = 500, window: int = 12,
-              budget: int = transfer.DEFAULT_BUDGET) -> SuiteReport:
-    if suite == "galois":
-        return suite_galois(hom, budget)
-    if suite == "functoriality":
-        return suite_functoriality(budget=budget)
-    if suite == "injective-collapse":
-        return suite_injective_collapse(hom, budget)
-    if suite == "thmA-meet":
-        return suite_thmA_meet((group,) if group else ("C4", "K4", "S3"))
-    if suite == "thmA-join":
-        return suite_thmA_join(group or "C4", budget)
-    if suite == "thmA-tensor":
-        return suite_thmA_tensor(group or "C4", budget)
-    if suite == "thmB-res":
-        return suite_thmB_res(hom, budget)
-    if suite == "thmB-ind":
-        return suite_thmB_ind(hom, budget)
-    if suite == "thmB-coind":
-        return suite_thmB_coind(group)
-    if suite == "rewrite-criteria":
-        return suite_rewrite_criteria(mode, seed, count, max_symbols=window)
-    if suite == "double-coset":
-        return suite_double_coset(hom, budget)
-    if suite == "noninj-ind":
-        return suite_noninj_ind(hom)
-    raise ValueError(f"unknown suite {suite!r}; known: {SUITES}")
+#: `transys verify` name -> suite, in the order the CLI lists them
+SUITES = {
+    "galois": suite_galois,
+    "functoriality": suite_functoriality,
+    "injective-collapse": suite_injective_collapse,
+    "thmA-meet": suite_thmA_meet,
+    "thmA-join": suite_thmA_join,
+    "thmA-tensor": suite_thmA_tensor,
+    "thmB-res": suite_thmB_res,
+    "thmB-ind": suite_thmB_ind,
+    "thmB-coind": suite_thmB_coind,
+    "rewrite-criteria": suite_rewrite_criteria,
+    "double-coset": suite_double_coset,
+    "noninj-ind": suite_noninj_ind,
+}
+
+
+def run_suite(suite: str, **options) -> SuiteReport:
+    """Run `suite` on those `options` its function names; the others are
+    ignored, so a caller may pass every `verify` option it has."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; known: {tuple(SUITES)}")
+    run = SUITES[suite]
+    names = inspect.signature(run).parameters
+    return run(**{k: v for k, v in options.items() if k in names})

@@ -188,17 +188,20 @@ def test_galois_units_and_counits():
         assert preimage_L(f, image_R(f, x)).refines(x)
 
 
-def test_mispaired_galois():
+def test_mispaired_galois(monkeypatch):
     i = catalog_hom("C2_into_C4")
     src = enumerate_transfer_systems(i.source)
     tgt = enumerate_transfer_systems(i.target)
     with pytest.raises(GroupError):
         check_galois(i, "fR", "finvR", src, tgt)
-    report = check_galois(i, "fR", "finvR", src, tgt, enforce_pairing=False)
-    assert not report.passed and report.counterexample is not None
-    # direction-incompatible pairings are rejected outright
+    # direction-incompatible pairings are rejected too
     with pytest.raises(GroupError):
-        check_galois(i, "fL", "fR", src, tgt, enforce_pairing=False)
+        check_galois(i, "fL", "fR", src, tgt)
+    # admitted as a pairing, a non-adjoint one yields a counterexample
+    monkeypatch.setattr(functors, "GALOIS_PAIRINGS",
+                        functors.GALOIS_PAIRINGS | {("fR", "finvR")})
+    report = check_galois(i, "fR", "finvR", src, tgt)
+    assert not report.passed and report.counterexample is not None
 
 
 def test_monotonicity():
@@ -380,7 +383,9 @@ def test_galois_applies_each_adjoint_once_per_system(monkeypatch):
     i = catalog_hom("C2_into_C4")
     src = enumerate_transfer_systems(i.source)
     tgt = enumerate_transfer_systems(i.target)
-    report = check_galois(i, "fR", "finvR", src, tgt, enforce_pairing=False)
+    monkeypatch.setattr(functors, "GALOIS_PAIRINGS",
+                        functors.GALOIS_PAIRINGS | {("fR", "finvR")})
+    report = check_galois(i, "fR", "finvR", src, tgt)
     assert report == nested_galois(i, "fR", "finvR", src, tgt)
     assert not report.passed
 

@@ -334,6 +334,29 @@ def test_graph_subgroup_basics():
     assert (1, (1, 0)) in gs.pairs
 
 
+def seed_graph_conjugacy_label(gs):
+    """The label from conjugated tables: each H^g and T^g is built, then
+    read back as a lattice id and an orbit type."""
+    lat = lattice_of(gs.group)
+    return (gs.arity, min((lat.id_of(gs.subgroup.conjugate(g)),
+                           iso_key(gs.hset.conjugate(g)))
+                          for g in gs.group.elements()))
+
+
+def test_graph_conjugacy_label_matches_conjugated_tables():
+    seen = 0
+    for name in ("C4", "K4", "S3", "D4", "C2xC4", "C6", "C8", "S4", "D6"):
+        G = group_by_name(name)
+        for H in all_subgroups(G):
+            for n in range(5):
+                for T in hsets_up_to_iso(H, n):
+                    gs = graph_subgroup(G, H, T)
+                    assert (graph_conjugacy_label(gs)
+                            == seed_graph_conjugacy_label(gs)), (name, gs, n)
+                    seen += 1
+    assert seen == 969
+
+
 def test_graph_subgroups_of_isomorphic_hsets_are_conjugate():
     rng = random.Random(11)
     S3 = symmetric_group(3)

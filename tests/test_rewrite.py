@@ -252,7 +252,7 @@ def _stalling(rules):
     """A local rule set that also rewrites every binary node to an equal
     copy of itself, which does not lower the complexity."""
     def local(pool, t):
-        out = rules(pool, t)
+        out = list(rules(pool, t))
         if isinstance(t, App) and t.symbol.arity == 2:
             out = [(App(t.symbol, t.children), "stall")] + out
         return out
@@ -306,7 +306,7 @@ def test_descent_guard_weighs_the_redex_at_its_depth(monkeypatch):
     rules = rewrite._local_tensor
 
     def widening(pool, t):
-        out = rules(pool, t)
+        out = list(rules(pool, t))
         if (isinstance(t, App) and t.symbol == h
                 and isinstance(t.children[0], App)
                 and t.children[0].symbol == k):
