@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Optional
 
@@ -106,8 +107,14 @@ def catalog_homs() -> dict[str, Homomorphism]:
     Covers the running examples (C2 into C4 and C8, the quotient C4 -> C2,
     C4 -> S3 sending the generator to a transposition, the collapse maps
     to the trivial group) together with every subgroup inclusion of the
-    acceptance groups.
+    acceptance groups.  The homs are built once; each call returns a new
+    dict of them, which the caller may change.
     """
+    return dict(_catalog())
+
+
+@functools.cache
+def _catalog() -> dict[str, Homomorphism]:
     C2 = cyclic_group(2)
     C4 = cyclic_group(4)
     C8 = cyclic_group(8)
@@ -131,7 +138,7 @@ def catalog_homs() -> dict[str, Homomorphism]:
 
 
 def catalog_hom(name: str) -> Homomorphism:
-    homs = catalog_homs()
+    homs = _catalog()
     if name not in homs:
         raise GroupError(f"unknown hom {name!r}; known: {sorted(homs)}")
     return homs[name]

@@ -1,25 +1,26 @@
 """Operadic term rewriting over two symbol families.
 
 Terms are formal composites of orbit-representative symbols drawn from two
-factors X and Y.  Two directed reduction systems are implemented: the
-coproduct system (identity elimination and same-factor composite folding)
-and the tensor system (interchange, constant collapse).  Every rule strictly
-lowers an explicit complexity measure, so every reduction terminates within
-a known step budget.  The measure is a sum over nodes of a value that
-depends only on the node and its depth, so each contraction is checked to
-lower it from the contracted subterm alone.
+factors X and Y.  Symbols are interned, one object per (factor, sid, arity),
+and terms are tuples, so comparing and hashing either runs in C.  A symbol
+pool turns its action and composite tables into per-symbol rows, each entry
+with its inverse permutation, which the rules and the group action read.
+
+The coproduct system folds identities and same-factor composites; the
+tensor system interchanges and collapses constants.  Every rule strictly
+lowers a complexity that sums, over the nodes, a value of the node and its
+depth, so each contraction is checked to lower it from the contracted
+subterm alone and every reduction ends within a known step budget.
 
 One post-order walk (children before their parent, left before right) lists
 the redexes of a term; its first hit is the leftmost-innermost redex.  One
 normalizer gives every leftmost-innermost normal form: it normalizes the
 children of a node, then contracts at the node and normalizes the reduct in
-place, which takes the same steps as contracting the walk's first hit over
-and over.  Traced, it records each step on the whole term; untraced, it
-keeps a memo from node identity to normal form for one term and its
-reducts, which share every subtree off their redex path with the term and
-so are normalized along that path only.  Because the systems terminate, local
-confluence is checked by comparing the normal forms of the two reducts
-(Newman's lemma).  Confluence, equivariance, and congruence with
+place, the steps of contracting the walk's first hit over and over.
+Untraced, it memoizes normal forms by node identity, so the one-step reducts
+of a term are normalized along their redex paths only.  As the systems
+terminate, local confluence is checked by comparing the normal forms of two
+reducts (Newman's lemma); confluence, equivariance and congruence with
 composition are checked on fuzzed terms rather than assumed.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .groups import (
     FiniteGSet,
@@ -50,33 +51,46 @@ class RewriteError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class OpSymbol:
-    """Orbit-representative operation symbol from factor X or Y."""
+    """Orbit-representative operation symbol from factor X or Y.
 
-    factor: str
-    sid: int
-    arity: int
+    There is one object per (factor, sid, arity): the constructor returns
+    the interned one, so symbols compare and hash by identity, in C, and
+    copies and unpickled symbols are that same object.
+    """
 
-    def __post_init__(self) -> None:
-        if self.factor not in ("X", "Y"):
-            raise RewriteError("factor must be X or Y")
+    __slots__ = ("factor", "sid", "arity", "name")
+    _interned: dict = {}
 
-    @property
-    def name(self) -> str:
-        return f"{self.factor}:{self.sid}"
+    def __new__(cls, factor: str, sid: int, arity: int) -> "OpSymbol":
+        sym = OpSymbol._interned.get((factor, sid, arity))
+        if sym is None:
+            if factor not in ("X", "Y"):
+                raise RewriteError("factor must be X or Y")
+            sym = object.__new__(OpSymbol)
+            for attr, value in zip(OpSymbol.__slots__,
+                                   (factor, sid, arity, f"{factor}:{sid}")):
+                object.__setattr__(sym, attr, value)
+            OpSymbol._interned[(factor, sid, arity)] = sym
+        return sym
+
+    def __setattr__(self, *_) -> None:
+        raise AttributeError("symbols are interned and immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return OpSymbol, (self.factor, self.sid, self.arity)
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
-class App:
+class App(NamedTuple):
     symbol: OpSymbol
     children: tuple
 
@@ -87,12 +101,16 @@ Term = Var | App
 
 
 class SymbolPool:
-    """Symbols with their group action tables and optional operad data.
+    """Symbols with their group action and optional operad data.
 
-    ``g_action[(sym, g)] = (sym2, perm)`` records g . sym = sym2 . perm,
-    the unique factorization through orbit representatives.  Composite
-    tables record within-factor partial composition for factors carrying
-    genuine operad structure; free generators have none.
+    ``g_action[(sym, g)] = (sym2, sigma)`` records g . sym = sym2 . sigma,
+    the unique factorization through orbit representatives, and
+    ``compose_table[(h, k, f)] = (ell, sigma)`` that h with f in slot k
+    (1-based) is ell . sigma, for factors with genuine operad structure
+    (free generators have none).  The pool keeps both dicts and checks
+    every entry as it builds what the rules read: one row per symbol,
+    ``rows[sym][g] = (sym2, sigma, sigma^-1)``, and one composite table
+    per head symbol, ``composites[h][(k - 1, f)] = (ell, sigma^-1)``.
     """
 
     def __init__(self, group: Group, symbols: Iterable[OpSymbol],
@@ -110,28 +128,61 @@ class SymbolPool:
         self.z = z
         self.validate()
 
-    def act(self, g: int, sym: OpSymbol) -> tuple[OpSymbol, Perm]:
-        return self.g_action[(sym, g)]
-
-    def composite(self, h: OpSymbol, k: int, f: OpSymbol):
-        """The factored composite of h with f in slot k (1-based), if any."""
-        return self.compose_table.get((h, k, f))
-
     def validate(self) -> None:
+        """Build the rows and the composite table, then check the group
+        law and z on the rows."""
         G = self.group
+        inverses: dict = {}  # each distinct sigma is checked and inverted once
+
+        def inverse(sigma, n: int, what: Callable[[], str]) -> Perm:
+            if type(sigma) is tuple and len(sigma) == n:
+                inv = inverses.get(sigma)
+                if inv is None and sorted(sigma) == list(range(n)):
+                    inv = inverses[sigma] = invert(sigma)
+                if inv is not None:
+                    return inv
+            raise RewriteError(
+                f"{what()}: {sigma!r} is not a permutation of {n} slots")
+
+        pooled = set(self.symbols)
+        self.rows = {}
         for sym in self.symbols:
+            row = []
             for g in G.elements():
                 if (sym, g) not in self.g_action:
                     raise RewriteError(f"missing action of {g} on {sym}")
-            s0, p0 = self.g_action[(sym, 0)]
-            if s0 != sym or p0 != identity_perm(sym.arity):
+                image, sigma = self.g_action[(sym, g)]
+                if image not in pooled:
+                    raise RewriteError(f"{g} moves {sym} out of the pool")
+                if image.arity != sym.arity:
+                    raise RewriteError(f"{g} moves {sym} to another arity")
+                inv = inverse(sigma, sym.arity,
+                              lambda: f"action of {g} on {sym}")
+                row.append((image, sigma, inv))
+            self.rows[sym] = tuple(row)
+        self.composites = {}
+        for (h, k, f), (ell, sigma) in self.compose_table.items():
+            what = lambda: f"composite ({h}, {k}, {f})"  # noqa: E731
+            if h not in pooled or f not in pooled or ell not in pooled:
+                raise RewriteError(f"{what()} names a symbol not in the pool")
+            if not 1 <= k <= h.arity:
+                raise RewriteError(f"{what()}: slot {k} is outside 1..{h.arity}")
+            if f.factor != h.factor or ell.factor != h.factor:
+                raise RewriteError(f"{what()} mixes factors")
+            if ell.arity != h.arity + f.arity - 1:
+                raise RewriteError(f"{what()} gives {ell} of arity {ell.arity}, "
+                                   f"not {h.arity + f.arity - 1}")
+            self.composites.setdefault(h, {})[(k - 1, f)] = (
+                ell, inverse(sigma, ell.arity, what))
+        for sym, row in self.rows.items():
+            if row[0][0] is not sym or row[0][1] != identity_perm(sym.arity):
                 raise RewriteError(f"identity must fix {sym}")
             for g1 in G.elements():
-                f1, p1 = self.g_action[(sym, g1)]
+                f1, p1, _ = row[g1]
                 for g2 in G.elements():
-                    f2, p2 = self.g_action[(f1, g2)]
-                    f3, p3 = self.g_action[(sym, G.mul[g2][g1])]
-                    if f3 != f2 or p3 != compose(p2, p1):
+                    f2, p2, _ = self.rows[f1][g2]
+                    f3, p3, _ = row[G.mul[g2][g1]]
+                    if f3 is not f2 or p3 != compose(p2, p1):
                         raise RewriteError(
                             f"action tables break the group law at "
                             f"({g2},{g1}) on {sym}")
@@ -141,17 +192,15 @@ class SymbolPool:
         if self.z is not None:
             if self.z.factor != "Y" or self.z.arity != 0:
                 raise RewriteError("z must be a nullary Y-symbol")
-            for g in self.group.elements():
-                if self.g_action.get((self.z, g), (None,))[0] != self.z:
-                    raise RewriteError("z must be G-fixed")
+            if self.z not in self.rows or any(
+                    image is not self.z for image, _, _ in self.rows[self.z]):
+                raise RewriteError("z must be G-fixed")
 
     def union(self, other: "SymbolPool", z: Optional[OpSymbol]
               ) -> "SymbolPool":
-        """Both pools' symbols and tables in one pool with constant z.
-
-        Each side was validated in full when it was built and the two
-        share no factor, so only the group and z are checked here.
-        """
+        """Both pools' symbols, tables and rows in one pool with constant
+        z.  Each side was validated in full when it was built and the two
+        share no factor, so only the group and z are checked here."""
         if self.group != other.group:
             raise RewriteError("factors live over different groups")
         if {s.factor for s in self.symbols} & {s.factor for s in other.symbols}:
@@ -160,9 +209,11 @@ class SymbolPool:
         pool.group = self.group
         pool.symbols = self.symbols + other.symbols
         pool.g_action = {**self.g_action, **other.g_action}
+        pool.rows = {**self.rows, **other.rows}
         pool.x_identity = self.x_identity or other.x_identity
         pool.y_identity = self.y_identity or other.y_identity
         pool.compose_table = {**self.compose_table, **other.compose_table}
+        pool.composites = {**self.composites, **other.composites}
         pool.z = z
         pool._check_z()
         return pool
@@ -173,49 +224,33 @@ class SymbolPool:
 
 
 def symbol_count(t: Term) -> int:
-    if isinstance(t, Var):
-        return 0
-    return 1 + sum(symbol_count(c) for c in t.children)
+    return 0 if type(t) is Var else 1 + sum(map(symbol_count, t.children))
 
 
 def term_arity(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return sum(term_arity(c) for c in t.children)
+    return 1 if type(t) is Var else sum(map(term_arity, t.children))
 
 
-def shift_vars(t: Term, k: int) -> Term:
-    if isinstance(t, Var):
-        return Var(t.index + k)
-    return App(t.symbol, tuple(shift_vars(c, k) for c in t.children))
-
-
-def substitute(t: Term, mapping: dict[int, Term]) -> Term:
-    if isinstance(t, Var):
-        return mapping[t.index]
-    return App(t.symbol, tuple(substitute(c, mapping) for c in t.children))
+def substitute(t: Term, var: Callable[[int], Term]) -> Term:
+    """t with each variable x_i replaced by var(i)."""
+    if type(t) is Var:
+        return var(t.index)
+    return App(t.symbol, tuple([substitute(c, var) for c in t.children]))
 
 
 def act_sigma(t: Term, sigma: Perm) -> Term:
     """Right action: variable x_i becomes x_{sigma^-1 i}."""
     inv = invert(sigma)
-
-    def walk(s: Term) -> Term:
-        if isinstance(s, Var):
-            return Var(inv[s.index - 1] + 1)
-        return App(s.symbol, tuple(walk(c) for c in s.children))
-
-    return walk(t)
+    return substitute(t, lambda i: Var(inv[i - 1] + 1))
 
 
 def act_g(pool: SymbolPool, g: int, t: Term) -> Term:
-    """Left group action through the symbol factorization tables."""
-    if isinstance(t, Var):
+    """Left group action through the pool's action rows."""
+    if type(t) is Var:
         return t
-    sym2, sigma = pool.act(g, t.symbol)
-    inv = invert(sigma)
-    return App(sym2, tuple(act_g(pool, g, t.children[inv[i]])
-                           for i in range(len(t.children))))
+    sym, kids = t
+    image, _, inv = pool.rows[sym][g]
+    return App(image, tuple([act_g(pool, g, kids[i]) for i in inv]))
 
 
 def gamma(t: Term, args: Sequence[Term]) -> Term:
@@ -224,12 +259,11 @@ def gamma(t: Term, args: Sequence[Term]) -> Term:
     k = term_arity(t)
     if len(args) != k:
         raise RewriteError(f"gamma arity mismatch: term takes {k}, got {len(args)}")
-    shifted = {}
-    offset = 0
+    shifted, offset = {}, 0
     for i, s in enumerate(args, start=1):
-        shifted[i] = shift_vars(s, offset)
+        shifted[i] = substitute(s, lambda j, k=offset: Var(j + k))
         offset += term_arity(s)
-    return substitute(t, shifted)
+    return substitute(t, shifted.__getitem__)
 
 
 def format_term(t: Term) -> str:
@@ -271,14 +305,9 @@ class Step:
 def replace_at(t: Term, path: Path, new: Term) -> Term:
     if not path:
         return new
-    head, rest = path[0], path[1:]
     children = list(t.children)
-    children[head] = replace_at(children[head], rest, new)
+    children[path[0]] = replace_at(children[path[0]], path[1:], new)
     return App(t.symbol, tuple(children))
-
-
-def _is_z_call(pool: SymbolPool, t: Term) -> bool:
-    return isinstance(t, App) and pool.z is not None and t.symbol == pool.z
 
 
 def _local_rules(pool: SymbolPool, mode: RewriteMode):
@@ -290,56 +319,47 @@ def _local_rules(pool: SymbolPool, mode: RewriteMode):
 
 
 def _local_coproduct(pool: SymbolPool, t: Term) -> Iterator[tuple[Term, str]]:
-    if not isinstance(t, App):
+    if type(t) is Var:
         return
-    h = t.symbol
-    if pool.x_identity is not None and h == pool.x_identity:
-        yield t.children[0], "a"
-    if pool.y_identity is not None and h == pool.y_identity:
-        yield t.children[0], "b"
-    for k, child in enumerate(t.children):
-        if not isinstance(child, App):
-            continue
-        f = child.symbol
-        if f.factor != h.factor:
-            continue
-        hit = pool.composite(h, k + 1, f)
-        if hit is None:
-            continue
-        ell, sigma = hit
-        args = t.children[:k] + child.children + t.children[k + 1:]
-        inv = invert(sigma)
-        reduct = App(ell, tuple(args[inv[i]] for i in range(len(args))))
-        yield reduct, "c" if h.factor == "X" else "d"
+    h, kids = t
+    if h is pool.x_identity:
+        yield kids[0], "a"
+    if h is pool.y_identity:
+        yield kids[0], "b"
+    table = pool.composites.get(h)
+    for k, child in enumerate(kids if table else ()):
+        hit = None if type(child) is Var else table.get((k, child.symbol))
+        if hit is not None:
+            ell, inv = hit
+            args = kids[:k] + child.children + kids[k + 1:]
+            yield (App(ell, tuple([args[i] for i in inv])),
+                   "c" if h.factor == "X" else "d")
 
 
 def _local_tensor(pool: SymbolPool, t: Term) -> Iterator[tuple[Term, str]]:
-    if not isinstance(t, App):
+    """At most one reduct: a node all of whose children are z collapses
+    (c), any other nullary symbol becomes z (d), and an X-symbol whose
+    children other than z all share one Y-head of positive arity
+    interchanges with it (a, or b with z children)."""
+    if type(t) is Var:
         return
-    h = t.symbol
+    h, kids = t
     z = pool.z
-    m = h.arity
-    if m > 0 and all(_is_z_call(pool, c) for c in t.children):
+    if not kids:
+        if h is not z:
+            yield App(z, ()), "d"
+        return
+    heads = {None if type(c) is Var else c.symbol for c in kids}
+    rest = heads - {z}
+    if not rest:
         yield App(z, ()), "c"
-    if m == 0 and h != z:
-        yield App(z, ()), "d"
-    if h.factor == "X" and m > 0:
-        z_pos = [i for i, c in enumerate(t.children) if _is_z_call(pool, c)]
-        rest = [i for i in range(m) if i not in z_pos]
-        if rest:
-            heads = {t.children[i].symbol if isinstance(t.children[i], App) else None
-                     for i in rest}
-            if len(heads) == 1:
-                f = heads.pop()
-                if f is not None and f.factor == "Y" and f.arity > 0:
-                    n = f.arity
-                    cols = []
-                    for j in range(n):
-                        row = tuple(App(z, ()) if i in z_pos
-                                    else t.children[i].children[j]
-                                    for i in range(m))
-                        cols.append(App(h, row))
-                    yield App(f, tuple(cols)), "a" if not z_pos else "b"
+    elif len(rest) == 1 and h.factor == "X":
+        f = rest.pop()
+        if f is not None and f.factor == "Y" and f.arity > 0:
+            cols = tuple(App(h, tuple([c if c.symbol is z else c.children[j]
+                                       for c in kids]))
+                         for j in range(f.arity))
+            yield App(f, cols), "b" if z in heads else "a"
 
 
 def _redexes(pool: SymbolPool, t: Term, mode: RewriteMode
@@ -350,14 +370,15 @@ def _redexes(pool: SymbolPool, t: Term, mode: RewriteMode
     local = _local_rules(pool, mode)
     out = []
 
-    def walk(s: Term, path: Path) -> None:
-        if isinstance(s, App):
-            for i, c in enumerate(s.children):
+    def walk(s: App, path: Path) -> None:
+        for i, c in enumerate(s.children):
+            if type(c) is not Var:
                 walk(c, path + (i,))
-            for reduct, rule in local(pool, s):
-                out.append((s, reduct, rule, path))
+        for reduct, rule in local(pool, s):
+            out.append((s, reduct, rule, path))
 
-    walk(t, ())
+    if type(t) is not Var:
+        walk(t, ())
     return out
 
 
@@ -378,29 +399,28 @@ def _measurer(pool: SymbolPool, mode: RewriteMode):
     its complexity and b the total arity of its Y-symbols (0 in coproduct
     mode), and contracting a subterm at depth d changes the complexity of
     the whole term by exactly the change of a + d*b.  The memo holds each
-    key node, so no id is reused while it lives.
+    key node, so no id is reused while it lives; a node reads its
+    memoized children from it in place.
     """
     tensor = mode.kind == "tensor"
     z = pool.z
     memo: dict[int, tuple[Term, int, int]] = {}
 
     def measure(s: Term) -> tuple[int, int]:
-        if isinstance(s, Var):
+        if type(s) is Var:
             return 0, 0
         hit = memo.get(id(s))
         if hit is not None:
             return hit[1], hit[2]
+        sym, kids = s
         a = b = 0
-        for c in s.children:
-            ca, cb = measure(c)
-            a += ca + cb
-            b += cb
-        if not tensor:
-            a += 1
-        else:
-            a += s.symbol != z
-            if s.symbol.factor == "Y":
-                b += s.symbol.arity
+        for c in kids:
+            if type(c) is not Var:
+                _, ca, cb = memo.get(id(c)) or (c, *measure(c))
+                a += ca + cb
+                b += cb
+        a += sym is not z if tensor else 1
+        b += sym.arity if tensor and sym.factor == "Y" else 0
         memo[id(s)] = (s, a, b)
         return a, b
 
@@ -428,17 +448,14 @@ def _normalizer(pool: SymbolPool, mode: RewriteMode,
     these are the steps of contracting the first hit of the post-order
     walk again and again, without restarting the walk from the root.
 
-    The memo maps id(node) to (node, normal form); it holds each key node,
-    so no id is reused while the memo lives.  Without a trace it keeps
-    every node it normalizes.  A one-step reduct shares every subtree off
-    its redex path with its term, so it is normalized along that path
-    only.  With a trace it keeps only nodes known to be normal, so a
-    subterm object that stands at two positions records its steps at
-    each, and every step is appended as a Step on the whole term.
-
-    Each contraction must lower the complexity of the whole term, which
-    is computed from the contracted subterm at its depth, and a term t
-    gets at most complexity(t) steps.
+    The memo maps id(node) to (node, normal form), holding each key node
+    so that no id is reused while it lives.  Without a trace it keeps
+    every node it normalizes, so a one-step reduct, which shares every
+    subtree off its redex path with its term, is normalized along that
+    path only.  With a trace it keeps only normal nodes, so a subterm
+    object at two positions records its steps at each, and every step is
+    appended as a Step on the whole term.  Each contraction must lower
+    the complexity of the whole term, and t gets complexity(t) steps.
     """
     local = _local_rules(pool, mode)
     measure = _measurer(pool, mode)
@@ -449,24 +466,24 @@ def _normalizer(pool: SymbolPool, mode: RewriteMode,
 
     def norm(s: Term, depth: int) -> Term:
         nonlocal whole, left
-        if isinstance(s, Var):
+        if type(s) is Var:
             return s
         hit = memo.get(id(s))
         if hit is not None:
             return hit[1]
         start = node = s
         while True:
-            kids = node.children
+            sym, kids = node
             if kids:
-                new, changed = [], False
+                new, changed = list(kids), False
                 for i, c in enumerate(kids):
-                    path.append(i)
-                    k = norm(c, depth + 1)
-                    path.pop()
-                    new.append(k)
-                    changed = changed or k is not c
+                    if type(c) is not Var:
+                        path.append(i)
+                        new[i] = norm(c, depth + 1)
+                        path.pop()
+                        changed = changed or new[i] is not c
                 if changed:
-                    node = App(node.symbol, tuple(new))
+                    node = App(sym, tuple(new))
             hit = next(iter(local(pool, node)), None)
             if hit is None:
                 memo[id(node)] = (node, node)
@@ -483,14 +500,13 @@ def _normalizer(pool: SymbolPool, mode: RewriteMode,
                 after = replace_at(whole, at, reduct)
                 trace.append(Step(rule, at, whole, after))
                 whole = after
-            if isinstance(reduct, Var):
-                node = reduct
+            node = reduct
+            if type(node) is Var:
                 break
-            hit = memo.get(id(reduct))
+            hit = memo.get(id(node))
             if hit is not None:
                 node = hit[1]
                 break
-            node = reduct
         if trace is None:
             memo[id(start)] = (start, node)
         return node
@@ -559,13 +575,7 @@ def fuzz_term(pool: SymbolPool, rng: random.Random, max_symbols: int,
     t = grow()
     perm = list(range(1, leaves + 1))
     rng.shuffle(perm)
-
-    def renumber(s: Term) -> Term:
-        if isinstance(s, Var):
-            return Var(perm[-s.index - 1])
-        return App(s.symbol, tuple(renumber(c) for c in s.children))
-
-    return renumber(t)
+    return substitute(t, lambda i: Var(perm[-i - 1]))
 
 
 def random_perm(rng: random.Random, n: int) -> Perm:
@@ -626,6 +636,12 @@ def check_criteria(pool: SymbolPool, mode: RewriteMode, count: int = 200,
     equiv = CriterionReport("equivariance of reduction")
     outer = CriterionReport("congruence in the outer slot")
     inner = CriterionReport("congruence in the inner slots")
+
+    def record(report: CriterionReport, ok: bool, example: Callable) -> None:
+        report.checked += 1
+        if not ok and report.counterexample is None:
+            report.counterexample = example()
+
     for _ in range(count):
         t = fuzz_term(pool, rng, max_symbols, symbols)
         # the fuzzed terms share no node, so a memo per term loses no
@@ -634,12 +650,10 @@ def check_criteria(pool: SymbolPool, mode: RewriteMode, count: int = 200,
         reducts = one_step_reducts(pool, t, mode)
         for a in range(len(reducts)):
             for b in range(a + 1, len(reducts)):
-                joins.checked += 1
-                if normal(reducts[a][0]) != normal(reducts[b][0]):
-                    joins.counterexample = joins.counterexample or {
-                        "term": format_term(t),
-                        "left": format_term(reducts[a][0]),
-                        "right": format_term(reducts[b][0])}
+                left, right = reducts[a][0], reducts[b][0]
+                record(joins, normal(left) == normal(right), lambda: {
+                    "term": format_term(t), "left": format_term(left),
+                    "right": format_term(right)})
         n = term_arity(t)
         g = rng.randrange(pool.group.order)
         sigma = random_perm(rng, n)
@@ -647,28 +661,21 @@ def check_criteria(pool: SymbolPool, mode: RewriteMode, count: int = 200,
         lhs = normal(moved)
         nf = normal(t)
         rhs = act_g(pool, g, act_sigma(nf, sigma))
-        equiv.checked += 1
-        if lhs != rhs:
-            equiv.counterexample = equiv.counterexample or {
-                "term": format_term(t), "g": g, "sigma": list(sigma),
-                "reduced then moved": format_term(rhs),
-                "moved then reduced": format_term(lhs)}
+        record(equiv, lhs == rhs, lambda: {
+            "term": format_term(t), "g": g, "sigma": list(sigma),
+            "reduced then moved": format_term(rhs),
+            "moved then reduced": format_term(lhs)})
         args = [fuzz_term(pool, rng, 3, symbols) for _ in range(n)]
         whole = gamma(t, args)
         nf_whole = normal(whole)
-        outer.checked += 1
         via_outer = normal(gamma(nf, args))
-        if nf_whole != via_outer:
-            outer.counterexample = outer.counterexample or {
-                "term": format_term(t), "whole": format_term(nf_whole),
-                "outer-first": format_term(via_outer)}
-        inner.checked += 1
-        reduced_args = [normal(s) for s in args]
-        via_inner = normal(gamma(t, reduced_args))
-        if nf_whole != via_inner:
-            inner.counterexample = inner.counterexample or {
-                "term": format_term(t), "whole": format_term(nf_whole),
-                "inner-first": format_term(via_inner)}
+        record(outer, nf_whole == via_outer, lambda: {
+            "term": format_term(t), "whole": format_term(nf_whole),
+            "outer-first": format_term(via_outer)})
+        via_inner = normal(gamma(t, [normal(s) for s in args]))
+        record(inner, nf_whole == via_inner, lambda: {
+            "term": format_term(t), "whole": format_term(nf_whole),
+            "inner-first": format_term(via_inner)})
     return CriteriaReport([joins, equiv, outer, inner])
 
 
@@ -680,9 +687,9 @@ def as_pool(G: Group, max_arity: int, factor: str = "X") -> SymbolPool:
     """A slice of the associativity operad: one symbol per arity, trivial
     group action, full composite table within the slice."""
     symbols = [OpSymbol(factor, n, n) for n in range(max_arity + 1)]
-    by_arity = {s.arity: s for s in symbols}
-    g_action = {(s, g): (s, identity_perm(s.arity))
-                for s in symbols for g in G.elements()}
+    # one (symbol, identity) entry per arity, shared by every table entry
+    ident = [(s, identity_perm(s.arity)) for s in symbols]
+    g_action = {(s, g): ident[s.arity] for s in symbols for g in G.elements()}
     comp = {}
     for h in symbols:
         for f in symbols:
@@ -690,8 +697,8 @@ def as_pool(G: Group, max_arity: int, factor: str = "X") -> SymbolPool:
             if h.arity == 0 or target > max_arity:
                 continue
             for k in range(1, h.arity + 1):
-                comp[(h, k, f)] = (by_arity[target], identity_perm(target))
-    identity = by_arity.get(1)
+                comp[(h, k, f)] = ident[target]
+    identity = symbols[1] if max_arity >= 1 else None
     return SymbolPool(G, symbols, g_action,
                       x_identity=identity if factor == "X" else None,
                       y_identity=identity if factor == "Y" else None,
@@ -782,31 +789,31 @@ def pool_from_free_models(S, T) -> tuple[SymbolPool, dict, dict]:
 
 
 def fixed_perm(pool: SymbolPool, t: Term, g: int) -> Optional[Perm]:
-    """The permutation pi with g * t = t . pi, if one exists."""
-    moved = act_g(pool, g, t)
+    """The permutation pi with g * t = t . pi, if one exists.
+
+    It walks t against g * t without building g * t: the node of g * t
+    facing a node a of t is g * src for a node src of t, whose children
+    are g * src.children[inv[i]].
+    """
     n = term_arity(t)
     pi = [None] * n
+    rows = pool.rows
 
-    def walk(a: Term, b: Term) -> bool:
-        if isinstance(a, Var) != isinstance(b, Var):
-            return False
-        if isinstance(a, Var):
-            # b carries x_j at the position where t . pi has x_{pi^-1 i}
-            j = b.index - 1
-            i = a.index - 1
-            if not (0 <= i < n and 0 <= j < n):
-                return False
-            if pi[j] is not None and pi[j] != i:
+    def walk(a: Term, src: Term) -> bool:
+        if type(src) is Var:
+            # g * t carries x_j at the position where t . pi has x_{pi^-1 j}
+            i, j = a.index - 1 if type(a) is Var else -1, src.index - 1
+            if not (0 <= i < n and 0 <= j < n) or pi[j] not in (None, i):
                 return False
             pi[j] = i
             return True
-        if a.symbol != b.symbol:
+        image, _, inv = rows[src.symbol][g]
+        if type(a) is Var or a.symbol is not image:
             return False
-        return all(walk(ca, cb) for ca, cb in zip(a.children, b.children))
+        kids = src.children
+        return all(walk(c, kids[i]) for c, i in zip(a.children, inv))
 
-    if not walk(t, moved):
-        return None
-    if any(v is None for v in pi):
+    if not walk(t, t) or None in pi:
         return None
     return tuple(pi)
 
@@ -815,15 +822,13 @@ def fixed_structure(pool: SymbolPool, t: Term, H: Subgroup
                     ) -> Optional[FiniteGSet]:
     """The H-set on the variable slots of t exhibited by its fixedness
     under the graph of that action, or None if t is not fixed."""
-    n = term_arity(t)
     rows = []
     for h in H.members:
-        pi = fixed_perm(pool, t, h)
-        if pi is None:
+        rows.append(fixed_perm(pool, t, h))
+        if rows[-1] is None:
             return None
-        rows.append(pi)
     try:
-        return FiniteGSet(H, n, tuple(rows))
+        return FiniteGSet(H, term_arity(t), tuple(rows))
     except GroupError:
         return None
 
@@ -939,30 +944,25 @@ class WitnessFactory:
         self.table_x, self.table_y = x.table, y.table
         self.join = join(self.table_x.transfer, self.table_y.transfer)
 
-    def _chain(self, k_id: int, h_id: int):
-        parents: dict[int, Optional[tuple]] = {k_id: None}
+    def _chain(self, k_id: int, h_id: int) -> list:
+        """A shortest chain of generator pairs from k_id up to h_id, as
+        (lower, upper, table) steps, found breadth first."""
+        chains = {k_id: []}
         frontier = [k_id]
-        while frontier and h_id not in parents:
+        while frontier and h_id not in chains:
             nxt = []
             for cur in frontier:
                 for table in (self.table_x, self.table_y):
                     for (a, b) in table.witnesses:
-                        if a == cur and b not in parents:
-                            parents[b] = (cur, table)
+                        if a == cur and b not in chains:
+                            chains[b] = chains[cur] + [(cur, b, table)]
                             nxt.append(b)
             frontier = nxt
-        if h_id not in parents:
+        if h_id not in chains:
             raise RewriteError(
                 f"no factorization chain found for ({k_id},{h_id}); "
                 "join computation is inconsistent")
-        chain = []
-        node = h_id
-        while parents[node] is not None:
-            prev, table = parents[node]
-            chain.append((prev, node, table))
-            node = prev
-        chain.reverse()
-        return chain
+        return chains[h_id]
 
     def witness(self, k_id: int, h_id: int, mode: RewriteMode
                 ) -> AdmissibilityWitness:

@@ -400,3 +400,16 @@ def test_galois_along_larger_groups():
             report = check_galois(f, lower, upper, src, tgt)
             assert report.passed, (name, lower, report.counterexample)
             assert report.checked == len(src) * len(tgt)
+
+
+def test_catalog_homs_are_built_once_and_handed_out_in_fresh_dicts():
+    first = catalog_homs()
+    second = catalog_homs()
+    assert first is not second and first.keys() == second.keys()
+    assert all(second[name] is f for name, f in first.items())
+    assert catalog_hom("C4_to_S3") is first["C4_to_S3"]
+    first["extra"] = first.pop("C2_into_C4")
+    first.clear()
+    third = catalog_homs()
+    assert third.keys() == second.keys() and "extra" not in third
+    assert third["C2_into_C4"] is second["C2_into_C4"]

@@ -1,6 +1,8 @@
 """Term rewriting tests: actions, composition, the two reduction systems,
 confluence criteria, and admissibility witnesses."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -429,10 +431,92 @@ def test_corrupted_action_table_fails_equivariance():
     with pytest.raises(RewriteError):
         SymbolPool(C2, [f, z, w], broken, z=z)
     pool = SymbolPool(C2, [f, z, w], trivial, z=z)
-    pool.g_action.update(broken)
+    # the rules and act_g read the action rows built at construction, so
+    # the corruption goes there: the rows of the same table without z
+    pool.rows.update(SymbolPool(C2, [f, z, w], broken).rows)
     rep = check_criteria(pool, TENSOR, count=80, seed=5, max_symbols=6)
     bad = next(r for r in rep.reports if r.name == "equivariance of reduction")
     assert not bad.passed and bad.counterexample is not None
+
+
+def test_symbols_are_interned():
+    s = OpSymbol("X", 1, 2)
+    assert s is OpSymbol("X", 1, 2) and s == OpSymbol("X", 1, 2)
+    other = OpSymbol("X", 1, 3)
+    assert other is not s and other.arity == 3 and s.arity == 2
+    assert copy.copy(s) is s and copy.deepcopy(s) is s
+    assert pickle.loads(pickle.dumps(s)) is s
+    t = App(s, (Var(1), App(other, (Var(2), Var(3), Var(4)))))
+    for back in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert back == t and back.symbol is s
+        assert back.children[1].symbol is other
+    interned = dict(OpSymbol._interned)
+    with pytest.raises(RewriteError, match="factor must be X or Y"):
+        OpSymbol("Z", 7, 2)
+    assert OpSymbol._interned == interned
+    with pytest.raises(AttributeError):
+        s.arity = 3
+    assert s.arity == 2
+
+
+def test_app_never_equals_var():
+    _, pool = _c2_pools()
+    rng = random.Random(41)
+    apps = [fuzz_term(pool, rng, 4) for _ in range(50)]
+    apps += [App(s, ()) for s in pool.symbols if s.arity == 0]
+    apps = [t for t in apps if isinstance(t, App)]
+    assert apps
+    for v in [Var(i) for i in range(-1, 6)]:
+        assert all(a != v and v != a for a in apps)
+        assert v not in set(apps)
+
+
+#: binary X-symbols, a ternary X-symbol, a binary Y-symbol, and a symbol
+#: left out of the pool
+H2, F2, A3, Y2, OUT = (OpSymbol("X", 0, 2), OpSymbol("X", 1, 2),
+                       OpSymbol("X", 2, 3), OpSymbol("Y", 0, 2),
+                       OpSymbol("X", 9, 2))
+
+
+def _strict_pool(action=None, table=None):
+    """A C2 pool of H2, F2, A3 and Y2 with a trivial action, patched by
+    the given entries."""
+    g_action = {(s, g): (s, identity_perm(s.arity))
+                for s in (H2, F2, A3, Y2) for g in (0, 1)}
+    g_action.update(action or {})
+    return SymbolPool(group_by_name("C2"), [H2, F2, A3, Y2], g_action,
+                      compose_table=table)
+
+
+@pytest.mark.parametrize("action, table, message", [
+    ({(H2, 1): (OUT, (0, 1))}, None, "1 moves X:0 out of the pool"),
+    ({(H2, 1): (A3, (0, 1, 2))}, None, "1 moves X:0 to another arity"),
+    ({(H2, 1): (H2, (0, 0))}, None,
+     r"action of 1 on X:0: \(0, 0\) is not a permutation of 2 slots"),
+    ({(H2, 1): (H2, (0, 1, 2))}, None,
+     r"\(0, 1, 2\) is not a permutation of 2 slots"),
+    ({(H2, 1): (H2, [1, 0])}, None, r"\[1, 0\] is not a permutation"),
+    (None, {(H2, 1, F2): (H2, (0, 1))},
+     r"composite \(X:0, 1, X:1\) gives X:0 of arity 2, not 3"),
+    (None, {(H2, 1, F2): (A3, (0, 1))},
+     r"composite \(X:0, 1, X:1\): \(0, 1\) is not a permutation of 3"),
+    (None, {(H2, 3, F2): (A3, (0, 1, 2))}, "slot 3 is outside 1..2"),
+    (None, {(H2, 0, F2): (A3, (0, 1, 2))}, "slot 0 is outside 1..2"),
+    (None, {(H2, 1, OUT): (A3, (0, 1, 2))}, "names a symbol not in the pool"),
+    (None, {(H2, 1, Y2): (A3, (0, 1, 2))}, "mixes factors"),
+])
+def test_malformed_tables_rejected_at_construction(action, table, message):
+    """Each of these used to pass construction and fail later with a
+    KeyError or IndexError, or to go unnoticed."""
+    with pytest.raises(RewriteError, match=message):
+        _strict_pool(action, table)
+
+
+def test_strict_pool_accepts_a_well_formed_table():
+    pool = _strict_pool(table={(H2, 2, F2): (A3, (1, 2, 0))})
+    t = App(H2, (Var(1), App(F2, (Var(2), Var(3)))))
+    assert reduce_term(pool, t, COPRODUCT)[0] == App(A3, (Var(3), Var(1),
+                                                          Var(2)))
 
 
 def test_parse_format_roundtrip(parse_term):

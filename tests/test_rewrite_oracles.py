@@ -11,7 +11,11 @@ every step and weighed the whole term after every step
 (`restart_reduce_term`, random strategy included), `check_criteria` with
 normal forms cached by structure on top of it, and join witnesses
 verified by building a `FiniteGSet` for the normal form are kept as
-oracles too (`restart_check_criteria`, `restart_witness`)."""
+oracles too (`restart_check_criteria`, `restart_witness`).  So are the
+local rules, `act_g` and `fixed_perm` that read the pool's `g_action` and
+`compose_table` dicts (`dict_local_coproduct`, `dict_local_tensor`,
+`dict_act_g`, `dict_fixed_perm`), against the action rows and composite
+tables the pool builds from them."""
 
 import copy
 import functools
@@ -49,6 +53,7 @@ from transys.rewrite import (
     check_criteria,
     complexity,
     factor_part,
+    fixed_perm,
     fixed_structure,
     format_term,
     fuzz_term,
@@ -63,7 +68,14 @@ from transys.rewrite import (
     symbol_count,
     term_arity,
 )
-from transys.groups import FiniteGSet, Subgroup, identity_perm, iso_key, lattice_of
+from transys.groups import (
+    FiniteGSet,
+    Subgroup,
+    identity_perm,
+    invert,
+    iso_key,
+    lattice_of,
+)
 from transys.transfer import enumerate_transfer_systems, join
 
 TERMS_PER_MODE = 1000
@@ -813,3 +825,188 @@ def test_union_checks_group_factors_and_z():
                                       (b, 0): (b, ()), (b, 1): (a, ())})
     with pytest.raises(RewriteError, match="z must be G-fixed"):
         x.union(swapped, a)
+
+
+# ---------------------------------------------------------------------------
+# the dict path: the rules, act_g and fixed_perm of the seed, reading the
+# tables the pool was built from, against the interned rows and composites
+
+
+def dict_act_g(pool, g, t):
+    if isinstance(t, Var):
+        return t
+    sym2, sigma = pool.g_action[(t.symbol, g)]
+    inv = invert(sigma)
+    return App(sym2, tuple(dict_act_g(pool, g, t.children[inv[i]])
+                           for i in range(len(t.children))))
+
+
+def _dict_is_z_call(pool, t):
+    return isinstance(t, App) and pool.z is not None and t.symbol == pool.z
+
+
+def dict_local_coproduct(pool, t):
+    if not isinstance(t, App):
+        return
+    h = t.symbol
+    if pool.x_identity is not None and h == pool.x_identity:
+        yield t.children[0], "a"
+    if pool.y_identity is not None and h == pool.y_identity:
+        yield t.children[0], "b"
+    for k, child in enumerate(t.children):
+        if not isinstance(child, App):
+            continue
+        f = child.symbol
+        if f.factor != h.factor:
+            continue
+        hit = pool.compose_table.get((h, k + 1, f))
+        if hit is None:
+            continue
+        ell, sigma = hit
+        args = t.children[:k] + child.children + t.children[k + 1:]
+        inv = invert(sigma)
+        reduct = App(ell, tuple(args[inv[i]] for i in range(len(args))))
+        yield reduct, "c" if h.factor == "X" else "d"
+
+
+def dict_local_tensor(pool, t):
+    if not isinstance(t, App):
+        return
+    h = t.symbol
+    z = pool.z
+    m = h.arity
+    if m > 0 and all(_dict_is_z_call(pool, c) for c in t.children):
+        yield App(z, ()), "c"
+    if m == 0 and h != z:
+        yield App(z, ()), "d"
+    if h.factor == "X" and m > 0:
+        z_pos = [i for i, c in enumerate(t.children) if _dict_is_z_call(pool, c)]
+        rest = [i for i in range(m) if i not in z_pos]
+        if rest:
+            heads = {t.children[i].symbol if isinstance(t.children[i], App)
+                     else None for i in rest}
+            if len(heads) == 1:
+                f = heads.pop()
+                if f is not None and f.factor == "Y" and f.arity > 0:
+                    cols = []
+                    for j in range(f.arity):
+                        row = tuple(App(z, ()) if i in z_pos
+                                    else t.children[i].children[j]
+                                    for i in range(m))
+                        cols.append(App(h, row))
+                    yield App(f, tuple(cols)), "a" if not z_pos else "b"
+
+
+def dict_fixed_perm(pool, t, g):
+    moved = dict_act_g(pool, g, t)
+    n = term_arity(t)
+    pi = [None] * n
+
+    def walk(a, b):
+        if isinstance(a, Var) != isinstance(b, Var):
+            return False
+        if isinstance(a, Var):
+            j = b.index - 1
+            i = a.index - 1
+            if not (0 <= i < n and 0 <= j < n):
+                return False
+            if pi[j] is not None and pi[j] != i:
+                return False
+            pi[j] = i
+            return True
+        if a.symbol != b.symbol:
+            return False
+        return all(walk(ca, cb) for ca, cb in zip(a.children, b.children))
+
+    if not walk(t, moved):
+        return None
+    if any(v is None for v in pi):
+        return None
+    return tuple(pi)
+
+
+DICT_RULES = {"coproduct": ("_local_coproduct", dict_local_coproduct),
+              "tensor": ("_local_tensor", dict_local_tensor)}
+
+
+def _twisted_pool():
+    """Composites whose permutations are 3-cycles, so that a composite
+    entry holding sigma in place of its inverse routes the arguments
+    differently, and one whose slot decides the result."""
+    h, f, a, b = (OpSymbol("X", 0, 2), OpSymbol("X", 1, 2),
+                  OpSymbol("X", 2, 3), OpSymbol("X", 3, 3))
+    return SymbolPool(group_by_name("C1"), [h, f, a, b],
+                      {(s, 0): (s, identity_perm(s.arity))
+                       for s in (h, f, a, b)},
+                      compose_table={(h, 1, f): (a, (1, 2, 0)),
+                                     (h, 2, f): (b, (2, 0, 1)),
+                                     (f, 2, h): (a, (2, 0, 1))})
+
+
+def _dict_path_cases():
+    """(label, pool, symbols, max_symbols, stream length, extra terms)
+    for the dict path."""
+    as_p = as_pool(group_by_name("C2"), 40)
+    nonconfluent, h = _nonconfluent_pool()
+    yield ("as C2 40", as_p, [s for s in as_p.symbols if s.arity <= 3], 8,
+           200, [])
+    yield "nonconfluent", nonconfluent, [h], 6, 100, []
+    yield "twisted", _twisted_pool(), None, 6, 100, []
+    for name in sorted(WITNESS_SLICES):
+        models = _models(name)
+        for S, T in zip(models, models[1:] + models[:1]):
+            factory = WitnessFactory(S, T)
+            # fixed terms: the chain composites and their normal forms
+            fixed = [w for k_id, h_id in factory.join.pairs()
+                     for w in (factory.witness(k_id, h_id, TENSOR).term,
+                               factory.witness(k_id, h_id, COPRODUCT)
+                               .normal_form)]
+            yield f"{name} pair", factory.pool, None, 8, 15, fixed
+
+
+def test_dict_path_matches_rows_and_composites(monkeypatch):
+    """Reducts (rule and order) at every node, act_g, fixed_perm and the
+    traced normal forms of seeded streams in both modes, on the pools
+    the benchmark and the suites use and on pair pools of four groups."""
+    counts = Counter()
+    for seed, case in enumerate(_dict_path_cases()):
+        label, pool, symbols, max_symbols, size, fixed = case
+        rng = random.Random(seed)
+        generators = [App(s, tuple(Var(i + 1) for i in range(s.arity)))
+                      for s in pool.symbols]
+        stream = [fuzz_term(pool, rng, max_symbols, symbols)
+                  for _ in range(size)]
+        modes = [COPRODUCT] + [TENSOR] * (pool.z is not None)
+        for t in stream + generators + fixed:
+            for g in pool.group.elements():
+                assert act_g(pool, g, t) == dict_act_g(pool, g, t), label
+                perm = fixed_perm(pool, t, g)
+                assert perm == dict_fixed_perm(pool, t, g), label
+                counts["fixed"] += g != 0 and perm is not None
+            for mode in modes:
+                name, dict_rule = DICT_RULES[mode.kind]
+                for s in _nodes(t):
+                    got = list(getattr(rewrite, name)(pool, s))
+                    assert got == list(dict_rule(pool, s)), (label, s)
+                    counts[mode.kind] += len(got)
+        for t in stream:
+            for mode in modes:
+                name, dict_rule = DICT_RULES[mode.kind]
+                got = reduce_term(pool, t, mode)
+                with monkeypatch.context() as m:
+                    m.setattr(rewrite, name, dict_rule)
+                    assert got == reduce_term(pool, t, mode), (label, t)
+    # each mode rewrites, and fixed terms are found beyond the identity
+    assert counts["coproduct"] > 500 and counts["tensor"] > 150
+    assert counts["fixed"] > 1000
+
+
+def test_measure_reads_memoized_children_in_place():
+    """One measurer over every node of a term, children first, so that
+    each parent finds its children in the memo."""
+    for label in sorted(CONFIGS):
+        pool, mode, terms = _terms(label)
+        measure = rewrite._measurer(pool, mode)
+        for t in terms[:200]:
+            for s in reversed(list(_nodes(t))):
+                assert measure(s)[0] == restart_complexity(pool, s, mode)
