@@ -589,6 +589,19 @@ class FiniteGSet:
                                        if self.act_of(g)[orbit[0]] == orbit[0])
                      for orbit in self.orbits())
 
+    @cached_property
+    def stabilizer_mask(self) -> int:
+        """The stabilizer ids as one mask over subgroup ids."""
+        return id_mask(self.stabilizer_ids)
+
+
+def id_mask(ids: Iterable[int]) -> int:
+    """The OR of ``1 << k`` over the subgroup ids k."""
+    mask = 0
+    for k in ids:
+        mask |= 1 << k
+    return mask
+
 
 def cosets(G: Group, elems: Iterable[int], K: Subgroup, right: bool = False
            ) -> tuple[list[int], dict[int, int]]:

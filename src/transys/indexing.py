@@ -2,7 +2,8 @@
 indexing systems, and admissibility for orbit-presented symmetric sequences.
 
 Indexing systems are never materialized as classes of sets; the transfer
-system is the canonical encoding and membership is decided orbitwise.
+system is the canonical encoding.  Membership is one mask test: the H-set's
+mask of orbit stabilizer ids against the system's column of H.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from .groups import (
     Subgroup,
     SubgroupLattice,
     double_cosets,
+    id_mask,
     lattice_of,
     orbit_types,
 )
-from .transfer import TransferSystem, generate_pairs
+from .transfer import TransferSystem, generate_columns
 
 
 @dataclass(frozen=True)
@@ -32,14 +34,14 @@ class IndexingSystem:
         return self.transfer.group
 
     def admits(self, H: Subgroup, T: FiniteGSet) -> bool:
-        """Whether every orbit of the H-set T is an admissible transfer."""
-        if T.subgroup != H:
+        """Whether every orbit of the H-set T is an admissible transfer:
+        T's stabilizer mask lies inside the column of H, the ids K -> H."""
+        if T.subgroup is not H and T.subgroup != H:
             raise GroupError("T must be an H-set")
-        lat = self.transfer.lattice
-        if H.group != self.group:
+        t = self.transfer
+        if H.group is not t.group and H.group != t.group:
             raise GroupError("H is not a subgroup of the indexing system's group")
-        h_id = lat.id_of(H)
-        return all(self.transfer.has(k, h_id) for k in T.stabilizer_ids)
+        return not T.stabilizer_mask & ~t.columns[t.lattice.id_of(H)]
 
 
 @dataclass(frozen=True)
@@ -88,30 +90,24 @@ def admissible_sets_of_symseq(symseq) -> AdmissibleClass:
     return AdmissibleClass(lat, frozenset(entries))
 
 
-def orbit_pairs_of_entry(entry: tuple[int, tuple[int, ...]]
-                         ) -> list[tuple[int, int]]:
-    h_id, orbits = entry
-    return [(k_id, h_id) for k_id in orbits]
-
-
 def generated_transfer(cls: AdmissibleClass) -> TransferSystem:
     """Transfer system of the indexing system generated by the class:
-    generate from one pair (orbit stabilizer, H) per orbit of each entry."""
-    pairs = set()
-    for entry in cls.entries:
-        pairs.update(orbit_pairs_of_entry(entry))
-    return generate_pairs(cls.lattice, pairs)
+    generate from the column (H, orbit stabilizers) of each entry."""
+    columns = [0] * cls.lattice.count
+    for h_id, key in cls.entries:
+        columns[h_id] |= id_mask(key)
+    return generate_columns(cls.lattice, columns)
 
 
 def admissible_class_of_transfer(t: TransferSystem) -> AdmissibleClass:
     """The admissible H-sets of a transfer system with at most |G| points.
 
-    Decided on orbit types alone.
+    Decided on orbit types alone, each by one mask test against a column.
     """
-    lat = t.lattice
+    lat, cols = t.lattice, t.columns
     entries = {(h_id, key)
                for h_id in range(lat.count)
                for n in range(lat.group.order + 1)
                for key in orbit_types(lat, h_id, n)
-               if all(t.has(k, h_id) for k in key)}
+               if not id_mask(key) & ~cols[h_id]}
     return AdmissibleClass(lat, frozenset(entries))

@@ -34,7 +34,7 @@ from .groups import (
     lattice_of,
     trivial_subgroup,
 )
-from .transfer import TransferSystem, discrete, generate_pairs, meet
+from .transfer import TransferSystem, discrete, generate_columns, meet
 
 DEFAULT_LEVEL_GUARD = 200_000
 
@@ -84,15 +84,15 @@ def free_model(t: TransferSystem) -> SymmetricSequence:
 
 
 def symseq_transfer(S: SymmetricSequence) -> TransferSystem:
-    """Transfer system generated by the orbit pairs of the generator
-    witnesses; equals the transfer system of the free marked operad on S."""
+    """Transfer system generated by the column (H, orbit stabilizers) of
+    each generator witness; equals the transfer system of the free marked
+    operad on S."""
     lat = lattice_of(S.group)
-    pairs = set()
+    columns = [0] * lat.count
     for orbits in S.levels.values():
         for orb in orbits:
-            h_id = lat.id_of(orb.subgroup)
-            pairs.update((k_id, h_id) for k_id in orb.hset.stabilizer_ids)
-    return generate_pairs(lat, pairs)
+            columns[lat.id_of(orb.subgroup)] |= orb.hset.stabilizer_mask
+    return generate_columns(lat, columns)
 
 
 def coproduct_join_check(S: SymmetricSequence, T: SymmetricSequence) -> LawReport:

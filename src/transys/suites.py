@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from . import functors, operads, rewrite, transfer
 from .catalog import ACCEPTANCE_GROUPS, catalog_hom, catalog_homs, group_by_name
@@ -37,12 +37,17 @@ class SuiteReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def absorb(self, law_report, context: Optional[dict] = None) -> None:
+    def absorb(self, law_report,
+               context: Union[dict, Callable[[], dict], None] = None) -> None:
+        """Count a report's cases and record it if it failed; a callable
+        context is built only then."""
         self.cases += law_report.checked
         if not law_report.passed:
             entry = {"law": getattr(law_report, "law", None)
                      or getattr(law_report, "name", "check"),
                      "counterexample": law_report.counterexample}
+            if callable(context):
+                context = context()
             if context:
                 entry.update(context)
             self.failures.append(entry)
@@ -126,7 +131,7 @@ def suite_thmA_join(group: str = "C4",
     report = SuiteReport("thmA-join", {"group": group})
     for s, S, t, T in _model_pairs(group, budget):
         report.absorb(operads.coproduct_join_check(S, T),
-                      {"group": group, "s": s.pairs(), "t": t.pairs()})
+                      lambda: {"group": group, "s": s.pairs(), "t": t.pairs()})
     return report
 
 
@@ -210,7 +215,7 @@ def suite_double_coset(hom: Optional[str] = None,
         for t in enumerate_transfer_systems(f.target, budget):
             report.absorb(
                 operads.double_coset_check(f, operads.free_model(t)),
-                {"hom": name, "t": t.pairs()})
+                lambda: {"hom": name, "t": t.pairs()})
     return report
 
 

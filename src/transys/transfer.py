@@ -5,13 +5,16 @@ A transfer system is a mask over the pairs K < H of subgroup ids: pair
 Every lattice operation runs on masks (`_Core`, built once per lattice),
 and so does a change of group (`_along`, built once per map of ids).
 A boolean matrix is only the input form, which `validate` scans for exact
-witnesses; `TransferSystem.rel` is a view derived from the mask.
+witnesses; `TransferSystem.rel` is a view derived from the mask.  So is
+`TransferSystem.columns`, one mask over subgroup ids per H: those K with
+K -> H.  Admissibility reads columns, and `generate_columns` closes them,
+so no other module needs the pair-bit layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
 from .catalog import group_from_json, group_to_json, json_field
@@ -131,6 +134,15 @@ class TransferSystem:
     def has(self, i: int, j: int) -> bool:
         return i == j or bool(self.mask >> (i * self.lattice.count + j) & 1)
 
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """For each subgroup id H, the mask over the ids K with K -> H,
+        H's own bit included."""
+        cols = [1 << h for h in range(self.lattice.count)]
+        for k, h in self.pairs():
+            cols[h] |= 1 << k
+        return tuple(cols)
+
     def refines(self, other: "TransferSystem") -> bool:
         _require_same_group(self, other)
         return not self.mask & ~other.mask
@@ -201,6 +213,8 @@ class _Core:
         pairs = [(i, j) for i in range(n) for j in range(n)
                  if i != j and leq[i][j]]
         self.ids = [i * n + j for i, j in pairs]
+        self.below = [sum(1 << k for k in range(n) if leq[k][j])
+                      for j in range(n)]
         into = [sum(1 << (k * n + i) for k in range(i) if leq[k][i])
                 for i in range(n)]
         out_of = [sum(1 << (j * n + l) for l in range(j + 1, n) if leq[j][l])
@@ -271,6 +285,26 @@ def generate_pairs(lat: SubgroupLattice,
     """Least transfer system containing pairs (K, H) with K inside H."""
     core = _core(lat)
     return core.system(core.close(_mask_of_pairs(lat, pairs)))
+
+
+def generate_columns(lat: SubgroupLattice,
+                     columns: Sequence[int]) -> TransferSystem:
+    """Least transfer system holding (K, H) for every id K in the mask
+    ``columns[H]``, one mask over subgroup ids per id H.  H's own bit is
+    dropped; a K outside H raises a refinement violation."""
+    core = _core(lat)
+    n, below, mask = core.n, core.below, 0
+    for h, ks in enumerate(columns):
+        if ks & ~below[h]:
+            raise TransferSystemError(Violation(
+                "refinement",
+                {"K": (ks & ~below[h]).bit_length() - 1, "H": h}))
+        ks &= ~(1 << h)
+        while ks:
+            low = ks & -ks
+            ks ^= low
+            mask |= 1 << ((low.bit_length() - 1) * n + h)
+    return core.system(core.close(mask))
 
 
 def cogenerate(lat: SubgroupLattice, rel: Rel) -> TransferSystem:

@@ -429,3 +429,51 @@ def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
     assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
+def test_suite_failure_context_built_only_for_failures():
+    from transys.functors import LawReport
+    from transys.suites import SuiteReport
+
+    report = SuiteReport("law", {})
+    report.absorb(LawReport("law", 3),
+                  lambda: pytest.fail("context built for a passed check"))
+    report.absorb(LawReport("law", 2, {"x": 1}), lambda: {"at": 5})
+    report.absorb(LawReport("law", 1, {"x": 2}), {"at": 6})
+    assert report.cases == 6
+    assert report.failures == [
+        {"law": "law", "counterexample": {"x": 1}, "at": 5},
+        {"law": "law", "counterexample": {"x": 2}, "at": 6}]
+
+
+@pytest.mark.parametrize("suite, check, option, failing", [
+    ("thmA-join", "coproduct_join_check", {"group": "C2"}, 2),
+    ("double-coset", "double_coset_check", {"hom": "C2_into_C4"}, 3)])
+def test_suite_failure_names_its_case(suite, check, option, failing,
+                                      monkeypatch):
+    """A failure deep in a suite's loop carries the systems of its own
+    case, not those of a later one."""
+    from transys import operads
+    from transys.catalog import catalog_hom, group_by_name
+    from transys.suites import run_suite
+    from transys.transfer import enumerate_transfer_systems
+
+    real, calls = getattr(operads, check), []
+
+    def fail_once(*args):
+        r = real(*args)
+        calls.append(r)
+        if len(calls) == failing:
+            r.counterexample = {"forced": True}
+        return r
+
+    monkeypatch.setattr(operads, check, fail_once)
+    (entry,) = run_suite(suite, **option).failures
+    assert entry["counterexample"] == {"forced": True}
+    if suite == "thmA-join":
+        d, c = enumerate_transfer_systems(group_by_name("C2"))
+        assert (entry["group"], entry["s"], entry["t"]) == (
+            "C2", d.pairs(), c.pairs())
+    else:
+        ts = enumerate_transfer_systems(catalog_hom("C2_into_C4").target)
+        assert (entry["hom"], entry["t"]) == ("C2_into_C4", ts[2].pairs())

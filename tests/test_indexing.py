@@ -9,6 +9,7 @@ from transys.groups import (
     GroupError,
     Subgroup,
     coset_hset,
+    cyclic_group,
     full_subgroup,
     hset_of_orbits,
     hsets_up_to_iso,
@@ -62,6 +63,22 @@ def test_admits_requires_matching_subgroup():
     ind = IndexingSystem(complete(C4))
     with pytest.raises(GroupError):
         ind.admits(full_subgroup(C4), trivial_hset(C2, 1))
+    # equal but distinct objects pass both guards: a subgroup rebuilt from
+    # the same members, and one over a rebuilt copy of the group
+    T = coset_hset(C2, trivial_subgroup(C4))
+    rebuilt = Subgroup(C4, C2.members)
+    assert rebuilt is not C2
+    assert ind.admits(rebuilt, T)
+    assert not IndexingSystem(discrete(C4)).admits(rebuilt, T)
+    C4_copy = cyclic_group(4)
+    assert C4_copy is not C4
+    C2_copy = Subgroup(C4_copy, C2.members)
+    assert ind.admits(C2_copy, coset_hset(C2_copy, trivial_subgroup(C4_copy)))
+    # an H-set over a subgroup of another group is refused
+    C2_group = group_by_name("C2")
+    C2_alone = full_subgroup(C2_group)
+    with pytest.raises(GroupError):
+        ind.admits(C2_alone, coset_hset(C2_alone, trivial_subgroup(C2_group)))
 
 
 def test_admits_invariant_under_iso_and_conjugation():
