@@ -26,8 +26,9 @@ DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration has computed its budget of closures;
-    ``closures`` and ``found`` say how far it got."""
+    """Raised when an enumeration has computed its budget of closures (a
+    candidate skipped without a closure costs none); ``closures`` and
+    ``found`` say how far it got."""
 
     def __init__(self, message: str, closures: int, found: int):
         super().__init__(message)
@@ -232,16 +233,18 @@ class _Core:
                         implied |= 1 << (k * n + l)
             self.step[p] = (implied, into[i], j - i, out_of[j], (j - i) * n)
 
-    def close(self, mask: int) -> int:
-        """The least transfer system containing a mask, as a mask.
+    def close(self, mask: int, closed: int = 0) -> int:
+        """The least transfer system containing a mask and ``closed``, which
+        must itself be a transfer system, as a mask.
 
         Each pair taken off the worklist adds what it implies and its
         composites with the pairs already present, which the in-mask of
-        its bottom and the out-mask of its top pick out.
+        its bottom and the out-mask of its top pick out.  The pairs of
+        ``closed`` already hold theirs, so only the rest of the mask is
+        worked through.
         """
         step = self.step
-        closed = 0
-        todo = mask
+        todo = mask & ~closed
         while todo:
             low = todo & -todo
             todo ^= low
@@ -389,25 +392,35 @@ def enumerate_transfer_systems(G: Group,
     """All transfer systems on G in canonical (row-major relation-matrix)
     order.
 
-    Transfer systems are the closed sets of `generate`, so Ganter's
-    NextClosure lists them in lectic order over the pair bits, with at
-    most one closure per pair for each system.  The bits run in row-major
-    matrix order, which makes the lectic order the row-major
-    relation-matrix order.  ``budget`` caps the number of closures.
+    Transfer systems are the closed sets of `generate`, listed by Fast
+    Close-by-One (Outrata and Vychodil, Inf. Sci. 185, 2012).  A system A
+    made by adding pair bit j0 tries each bit j above j0 that it lacks,
+    from the highest down: B = close(j, A) is a child of A iff it adds no
+    bit below j.  A failed B is handed down, and a descendant that lacks
+    one of B's bits below j skips j without a closure.  The tree is walked
+    in pre-order with an explicit stack, children in descending j, which
+    is the lectic order over the pair bits; the bits run in row-major
+    matrix order, so that is the row-major relation-matrix order.
+    ``budget`` caps the closures computed; a skipped candidate costs none.
     """
     if budget < 0:
         raise ValueError(f"budget must be a non-negative number of "
                          f"closures, got {budget}")
     core = _core(lattice_of(G))
-    close = core.close
-    top_down = core.ids[::-1]
-    current = 0                   # the discrete system comes first
-    found = [current]
+    close, bits = core.close, [1 << p for p in core.ids]
+    found = []
     closures = 0
-    while True:
-        for p in top_down:
-            bit = 1 << p
-            if current & bit:
+    # nodes (system, index of its lowest candidate bit, failures handed
+    # down: per candidate, the bits below it that its closure added); the
+    # failures list is shared by siblings, so a node copies it to write
+    stack = [(0, 0, [0] * len(bits))]
+    while stack:
+        current, start, failed = stack.pop()
+        found.append(current)
+        children, handed = [], failed
+        for i in range(len(bits) - 1, start - 1, -1):
+            bit = bits[i]
+            if current & bit or failed[i] & ~current:
                 continue
             if closures >= budget:
                 raise BudgetExceededError(
@@ -415,14 +428,16 @@ def enumerate_transfer_systems(G: Group,
                     f"{G.name}; systems found so far: {len(found)}",
                     closures, len(found))
             closures += 1
-            below = bit - 1
-            nxt = close((current & below) | bit)
-            if not nxt & below & ~current:
-                break
-        else:
-            return tuple(core.system(m) for m in found)
-        current = nxt
-        found.append(current)
+            nxt = close(bit, current)
+            added = nxt & (bit - 1) & ~current
+            if not added:
+                children.append((nxt, i + 1))
+            else:
+                if handed is failed:
+                    handed = failed.copy()
+                handed[i] = added
+        stack.extend((m, s, handed) for m, s in reversed(children))
+    return tuple(core.system(m) for m in found)
 
 
 def hasse(systems: Sequence[TransferSystem]) -> list[tuple[int, int]]:
