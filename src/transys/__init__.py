@@ -4,14 +4,12 @@ for discrete operads, and confluence-checked operadic term rewriting."""
 
 from .groups import (
     FiniteGSet,
-    GraphSubgroup,
     Group,
     GroupError,
     Homomorphism,
     Subgroup,
     all_subgroups,
     double_cosets,
-    graph_subgroup,
     hsets_up_to_iso,
     lattice_of,
     make_group,
@@ -34,9 +32,9 @@ from .indexing import IndexingSystem, admissible_sets_of_symseq, generated_trans
 from .operads import CoindAsOperad, SymmetricSequence, free_model, symseq_transfer
 
 __all__ = [
-    "FiniteGSet", "GraphSubgroup", "Group", "GroupError", "Homomorphism",
-    "Subgroup", "all_subgroups", "double_cosets", "graph_subgroup",
-    "hsets_up_to_iso", "lattice_of", "make_group",
+    "FiniteGSet", "Group", "GroupError", "Homomorphism", "Subgroup",
+    "all_subgroups", "double_cosets", "hsets_up_to_iso", "lattice_of",
+    "make_group",
     "TransferSystem", "TransferSystemError", "cogenerate", "complete",
     "discrete", "enumerate_transfer_systems", "generate", "hasse", "join",
     "meet", "validate",

@@ -87,14 +87,21 @@ def group_from_json(data) -> Group:
         if n is not None and type(n) is not int:
             raise GroupError(f"group key 'n' must be an int, got {n!r}")
         return make_group(kind, n)
-    return Group(tuple(tuple(row) for row in json_field(data, "mul", "group")),
-                 name=data.get("name", "G"))
+    rows = json_field(data, "mul", "group", list)
+    if not all(isinstance(row, list) for row in rows):
+        raise GroupError("group key 'mul' must be a list of rows, each a list")
+    name = json_field(data, "name", "group", str) if "name" in data else "G"
+    order = data.get("order", len(rows))
+    if type(order) is not int or order != len(rows):
+        raise GroupError(f"group key 'order' is {order!r}, but 'mul' has "
+                         f"{len(rows)} rows")
+    return Group(tuple(map(tuple, rows)), name=name)
 
 
 def hom_from_json(data) -> Homomorphism:
     return Homomorphism(group_from_json(json_field(data, "source", "hom")),
                         group_from_json(json_field(data, "target", "hom")),
-                        tuple(json_field(data, "map", "hom")))
+                        tuple(json_field(data, "map", "hom", list)))
 
 
 def _transposition(S3: Group) -> int:

@@ -493,23 +493,19 @@ def double_cosets(G: Group, A: Subgroup, B: Subgroup) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FiniteGSet:
-    """Finite set with an action of a subgroup H of an ambient group.
+    """Finite set with a left action of a subgroup H of an ambient group.
 
     ``act`` holds one permutation row per member of H in sorted member
-    order.  ``side`` is "left" for H-sets and "right" for the right G-sets
-    fed to the coinduced associativity operads.
+    order.
     """
 
     subgroup: Subgroup
     size: int
     act: tuple[tuple[int, ...], ...]
-    side: str = "left"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "act", tuple(map(tuple, self.act)))
         H = self.subgroup
-        if self.side not in ("left", "right"):
-            raise GroupError(f"unknown action side {self.side!r}")
         if len(self.act) != H.order:
             raise GroupError("need one action row per subgroup member")
         points = list(range(self.size))
@@ -523,12 +519,8 @@ class FiniteGSet:
         pos = H.position
         for a in H.members:
             for b in H.members:
-                lhs = self.act[pos[mul[a][b]]]
-                if self.side == "left":
-                    rhs = compose(self.act[pos[a]], self.act[pos[b]])
-                else:
-                    rhs = compose(self.act[pos[b]], self.act[pos[a]])
-                if lhs != rhs:
+                if self.act[pos[mul[a][b]]] != compose(self.act[pos[a]],
+                                                       self.act[pos[b]]):
                     raise GroupError(f"action law fails at ({a},{b})")
 
     @property
@@ -563,8 +555,6 @@ class FiniteGSet:
 
     def conjugate(self, g: int) -> "FiniteGSet":
         """The same points with gHg^-1 acting through h -> g^-1 h g."""
-        if self.side != "left":
-            raise GroupError("conjugation is implemented for left actions")
         G = self.group
         Hg = self.subgroup.conjugate(g)
         ginv = G.inv[g]
@@ -572,14 +562,14 @@ class FiniteGSet:
         return FiniteGSet(Hg, self.size, rows)
 
     def disjoint_union(self, other: "FiniteGSet") -> "FiniteGSet":
-        if self.subgroup != other.subgroup or self.side != other.side:
+        if self.subgroup != other.subgroup:
             raise GroupError("disjoint union needs matching actions")
         n = self.size
         rows = tuple(
             row_a + tuple(x + n for x in row_b)
             for row_a, row_b in zip(self.act, other.act)
         )
-        return FiniteGSet(self.subgroup, n + other.size, rows, side=self.side)
+        return FiniteGSet(self.subgroup, n + other.size, rows)
 
     @cached_property
     def stabilizer_ids(self) -> tuple[int, ...]:
@@ -603,10 +593,10 @@ def id_mask(ids: Iterable[int]) -> int:
     return mask
 
 
-def cosets(G: Group, elems: Iterable[int], K: Subgroup, right: bool = False
+def cosets(G: Group, elems: Iterable[int], K: Subgroup
            ) -> tuple[list[int], dict[int, int]]:
-    """The left cosets aK (right cosets Ka when ``right``) partitioning
-    ``elems``, which must be listed in ascending order.
+    """The left cosets aK partitioning ``elems``, which must be listed in
+    ascending order.
 
     Returns the least element of each coset, ordered by least element, and
     the coset number of every element.
@@ -616,7 +606,7 @@ def cosets(G: Group, elems: Iterable[int], K: Subgroup, right: bool = False
     for a in elems:
         if a not in number:
             for k in K.members:
-                number[G.mul[k][a] if right else G.mul[a][k]] = len(reps)
+                number[G.mul[a][k]] = len(reps)
             reps.append(a)
     return reps, number
 
@@ -643,11 +633,9 @@ def coset_hset(H: Subgroup, K: Subgroup) -> FiniteGSet:
 
 
 def right_coset_gset(G: Group, H: Subgroup) -> FiniteGSet:
-    """The right G-set H\\G of right cosets Hg, ordered by least element."""
-    reps, number = cosets(G, G.elements(), H, right=True)
-    rows = tuple(tuple(number[G.mul[r][g]] for r in reps)
-                 for g in G.elements())
-    return FiniteGSet(full_subgroup(G), len(reps), rows, side="right")
+    """The right G-set H\\G as the isomorphic left G-set G/H, through
+    Hg -> g^-1 H; an element fixes Hg iff it fixes g^-1 H."""
+    return coset_hset(full_subgroup(G), H)
 
 
 def induce_hset(H: Subgroup, T: FiniteGSet) -> FiniteGSet:
@@ -726,36 +714,14 @@ def hsets_up_to_iso(H: Subgroup, n: int) -> tuple[FiniteGSet, ...]:
 # graph subgroups of G x Sigma_n
 
 
-@dataclass(frozen=True)
-class GraphSubgroup:
-    """The subgroup {(h, sigma(h))} of G x Sigma_n encoding an H-set T."""
-
-    group: Group
-    arity: int
-    subgroup: Subgroup
-    hset: FiniteGSet
-    pairs: frozenset[tuple[int, Perm]]
-
-    def __repr__(self) -> str:
-        return (f"GraphSubgroup({self.group.name}xS{self.arity}, "
-                f"H={list(self.subgroup.members)})")
-
-
-def graph_subgroup(G: Group, H: Subgroup, T: FiniteGSet) -> GraphSubgroup:
-    if H.group != G or T.subgroup != H or T.side != "left":
-        raise GroupError("graph subgroup needs a left H-set over a subgroup of G")
-    pairs = frozenset((h, T.act_of(h)) for h in H.members)
-    return GraphSubgroup(G, T.size, H, T, pairs)
-
-
-def graph_conjugacy_label(gs: GraphSubgroup):
-    """Canonical label of a graph subgroup up to conjugacy in G x Sigma_n:
-    the least (id of H^g, orbit type of T^g) over g in G, read from
-    lattice ids, since the stabilizers of T^g are those of T conjugated
-    by g."""
-    lat = lattice_of(gs.group)
-    h = lat.id_of(gs.subgroup)
-    stabs = gs.hset.stabilizer_ids
-    return (gs.arity, min((c[h], tuple(sorted(lat.hclass_rep(c[h], c[k])
-                                              for k in stabs)))
-                          for c in lat.conj_table))
+def graph_conjugacy_label(T: FiniteGSet):
+    """Canonical label, up to conjugacy in G x Sigma_n, of the graph
+    {(h, sigma_T(h))} of an H-set T: the least (id of H^g, orbit type of
+    T^g) over g in G, read from lattice ids, since the stabilizers of T^g
+    are those of T conjugated by g."""
+    lat = lattice_of(T.group)
+    h = lat.id_of(T.subgroup)
+    stabs = T.stabilizer_ids
+    return (T.size, min((c[h], tuple(sorted(lat.hclass_rep(c[h], c[k])
+                                            for k in stabs)))
+                        for c in lat.conj_table))

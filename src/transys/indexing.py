@@ -72,9 +72,9 @@ def admissible_sets_of_symseq(symseq) -> AdmissibleClass:
     lat = lattice_of(G)
     entries = set()
     for orbits in symseq.levels.values():
-        for orb in orbits:
-            h_id = lat.id_of(orb.subgroup)
-            stabs = orb.hset.stabilizer_ids
+        for T_H in orbits:
+            h_id = lat.id_of(T_H.subgroup)
+            stabs = T_H.stabilizer_ids
             for gh, gks in {(c[h_id], tuple(c[k] for k in stabs))
                             for c in lat.conj_table}:
                 Hg = lat.subgroups[gh]

@@ -1,9 +1,10 @@
 """Discrete operads presented by generators, and change-of-group on them.
 
 Free (marked) operads are never materialized: a symmetric sequence of free
-orbits with graph-subgroup stabilizers determines the transfer system, and
-that is all admissibility needs.  Only the direct pullback that checks the
-double-coset formula materializes a level, under DEFAULT_LEVEL_GUARD.
+orbits, each given by the H-set whose graph is its stabilizer, determines
+the transfer system, and that is all admissibility needs.  Only the direct
+pullback that checks the double-coset formula materializes a level, under
+DEFAULT_LEVEL_GUARD.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Iterable, Sequence
 from .functors import LawReport, image_L, image_R, preimage_L
 from .groups import (
     FiniteGSet,
-    GraphSubgroup,
     Group,
     GroupError,
     Homomorphism,
@@ -28,7 +28,6 @@ from .groups import (
     full_subgroup,
     generators,
     graph_conjugacy_label,
-    graph_subgroup,
     identity_perm,
     invert,
     lattice_of,
@@ -45,20 +44,21 @@ class MaterializationError(RuntimeError):
 
 @dataclass
 class SymmetricSequence:
-    """Graded family of free orbits; level n lists the orbit stabilizers.
+    """Graded family of free orbits; level n lists n-point H-sets T.
 
-    Each orbit stands for the free (G x Sigma_n)-set on its graph
-    subgroup.  Absent levels are absent, not implicitly empty.
+    Each T stands for the free orbit (G x Sigma_n)/Gamma_T on its graph
+    Gamma_T = {(h, sigma_T(h))}.  Absent levels are absent, not implicitly
+    empty.
     """
 
     group: Group
-    levels: dict[int, tuple[GraphSubgroup, ...]]
+    levels: dict[int, tuple[FiniteGSet, ...]]
 
     def __post_init__(self) -> None:
         self.levels = {int(n): tuple(orbits) for n, orbits in self.levels.items()}
         for n, orbits in self.levels.items():
-            for orb in orbits:
-                if orb.group != self.group or orb.arity != n:
+            for T in orbits:
+                if T.group != self.group or T.size != n:
                     raise GroupError("orbit does not match its level")
 
     def union(self, other: "SymmetricSequence") -> "SymmetricSequence":
@@ -74,12 +74,10 @@ def free_model(t: TransferSystem) -> SymmetricSequence:
     """Free marked presentation of a transfer system: one free orbit
     Gamma(H/K) per nontrivial related pair K -> H."""
     lat = t.lattice
-    levels: dict[int, list[GraphSubgroup]] = {}
+    levels: dict[int, list[FiniteGSet]] = {}
     for k_id, h_id in t.pairs():
-        H = lat.subgroups[h_id]
-        K = lat.subgroups[k_id]
-        T = coset_hset(H, K)
-        levels.setdefault(T.size, []).append(graph_subgroup(t.group, H, T))
+        T = coset_hset(lat.subgroups[h_id], lat.subgroups[k_id])
+        levels.setdefault(T.size, []).append(T)
     return SymmetricSequence(t.group, {n: tuple(v) for n, v in levels.items()})
 
 
@@ -90,8 +88,8 @@ def symseq_transfer(S: SymmetricSequence) -> TransferSystem:
     lat = lattice_of(S.group)
     columns = [0] * lat.count
     for orbits in S.levels.values():
-        for orb in orbits:
-            columns[lat.id_of(orb.subgroup)] |= orb.hset.stabilizer_mask
+        for T in orbits:
+            columns[lat.id_of(T.subgroup)] |= T.stabilizer_mask
     return generate_columns(lat, columns)
 
 
@@ -113,14 +111,12 @@ def coproduct_join_check(S: SymmetricSequence, T: SymmetricSequence) -> LawRepor
 
 @dataclass(frozen=True)
 class CoindAsOperad:
-    """The operad of maps from a nonempty right G-set into the
-    associativity operad; level n is all functions X -> Sigma_n."""
+    """The operad of maps from a nonempty G-set into the associativity
+    operad; level n is all functions X -> Sigma_n."""
 
     xset: FiniteGSet
 
     def __post_init__(self) -> None:
-        if self.xset.side != "right":
-            raise GroupError("coinduced operads take a right G-set")
         if self.xset.size == 0:
             raise GroupError("coinduced operads need a nonempty G-set")
         if self.xset.subgroup.order != self.xset.group.order:
@@ -186,18 +182,16 @@ def coind_as_product_check(X: FiniteGSet, Y: FiniteGSet) -> LawReport:
 # restriction and induction of generator sequences
 
 
-def _pullback_orbit(f: Homomorphism, r: int, orb: GraphSubgroup) -> GraphSubgroup:
-    """Predicted summand for double-coset representative r: the graph of the
+def _pullback_orbit(f: Homomorphism, r: int, T: FiniteGSet) -> FiniteGSet:
+    """Predicted summand for double-coset representative r: the
     conjugated, restricted witness pulled back along f."""
-    Gp = f.target
     G = f.source
-    conj = orb.hset.conjugate(r)           # rHr^-1 acting
+    conj = T.conjugate(r)                  # rHr^-1 acting
     Hr = conj.subgroup
     L_members = [g for g in G.elements() if f.map[g] in Hr.member_set]
     L = Subgroup(G, tuple(L_members))
     rows = tuple(conj.act_of(f.map[g]) for g in L.members)
-    T = FiniteGSet(L, conj.size, rows)
-    return graph_subgroup(G, L, T)
+    return FiniteGSet(L, conj.size, rows)
 
 
 def restrict_symseq_predicted(f: Homomorphism, S: SymmetricSequence
@@ -209,31 +203,31 @@ def restrict_symseq_predicted(f: Homomorphism, S: SymmetricSequence
     if S.group != Gp:
         raise GroupError("sequence lives on the wrong group for restriction")
     imf = f.image()
-    levels: dict[int, list[GraphSubgroup]] = {}
+    levels: dict[int, tuple[FiniteGSet, ...]] = {}
     for n, orbits in S.levels.items():
         out = []
-        for orb in orbits:
-            for r in double_cosets(Gp, imf, orb.subgroup):
-                out.append(_pullback_orbit(f, r, orb))
+        for T in orbits:
+            for r in double_cosets(Gp, imf, T.subgroup):
+                out.append(_pullback_orbit(f, r, T))
         levels[n] = tuple(out)
     return SymmetricSequence(G, levels)
 
 
-def _direct_pullback_labels(f: Homomorphism, orb: GraphSubgroup) -> list:
+def _direct_pullback_labels(f: Homomorphism, T: FiniteGSet) -> list:
     """Orbit stabilizer labels of the direct pullback of one free orbit.
 
     Materializes (G' x Sigma_n)/Gamma, lets G x Sigma_n act through
     f x id, decomposes into orbits by breadth-first search, and reads off
     each representative's stabilizer exactly.
     """
-    G, Gp, n = f.source, f.target, orb.arity
+    G, Gp, n = f.source, f.target, T.size
     total = Gp.order * math.factorial(n)
     if total > DEFAULT_LEVEL_GUARD:
         raise MaterializationError(
             f"pullback of a level-{n} orbit needs {total} elements, "
             f"over the limit of {DEFAULT_LEVEL_GUARD}")
-    H = orb.subgroup
-    sigma = {h: orb.hset.act_of(h) for h in H.members}
+    H = T.subgroup
+    sigma = dict(zip(H.members, T.act))
     # number each (a, pi) of G' x Sigma_n with its coset (a, pi)Gamma; in
     # ascending order, the first member met is the coset's least, its point
     number: dict[tuple[int, Perm], int] = {}
@@ -280,8 +274,8 @@ def _direct_pullback_labels(f: Homomorphism, orb: GraphSubgroup) -> list:
                 members.append(g)
                 rows[g] = compose(pi, compose(sigma[h], invert(pi)))
         L = Subgroup(G, tuple(members))
-        T = FiniteGSet(L, n, tuple(rows[g] for g in L.members))
-        labels.append(graph_conjugacy_label(graph_subgroup(G, L, T)))
+        labels.append(graph_conjugacy_label(
+            FiniteGSet(L, n, tuple(rows[g] for g in L.members))))
     return sorted(labels)
 
 
@@ -291,12 +285,12 @@ def double_coset_check(f: Homomorphism, S: SymmetricSequence) -> LawReport:
     checked = 0
     imf = f.image()
     for n, orbits in sorted(S.levels.items()):
-        for orb in orbits:
+        for T in orbits:
             checked += 1
             predicted = sorted(
-                graph_conjugacy_label(_pullback_orbit(f, r, orb))
-                for r in double_cosets(f.target, imf, orb.subgroup))
-            direct = _direct_pullback_labels(f, orb)
+                graph_conjugacy_label(_pullback_orbit(f, r, T))
+                for r in double_cosets(f.target, imf, T.subgroup))
+            direct = _direct_pullback_labels(f, T)
             if predicted != direct:
                 return LawReport("double-coset decomposition", checked,
                                  {"level": n,
@@ -307,7 +301,7 @@ def double_coset_check(f: Homomorphism, S: SymmetricSequence) -> LawReport:
 
 def induce_symseq(m: Homomorphism, S: SymmetricSequence) -> SymmetricSequence:
     """Levelwise induction along an injective homomorphism: each free orbit
-    keeps its graph subgroup, now inside the bigger product group."""
+    keeps its graph, now inside the bigger product group."""
     if not m.is_injective:
         raise GroupError(
             "induction of generator sequences requires an injective map; "
@@ -315,14 +309,13 @@ def induce_symseq(m: Homomorphism, S: SymmetricSequence) -> SymmetricSequence:
     if S.group != m.source:
         raise GroupError("sequence lives on the wrong group for induction")
     back = {m.map[a]: a for a in m.source.elements()}
-    levels: dict[int, list[GraphSubgroup]] = {}
+    levels: dict[int, tuple[FiniteGSet, ...]] = {}
     for n, orbits in S.levels.items():
         out = []
-        for orb in orbits:
-            image = m.image_subgroup(orb.subgroup)
-            rows = tuple(orb.hset.act_of(back[a]) for a in image.members)
-            T = FiniteGSet(image, n, rows)
-            out.append(graph_subgroup(m.target, image, T))
+        for T in orbits:
+            image = m.image_subgroup(T.subgroup)
+            rows = tuple(T.act_of(back[a]) for a in image.members)
+            out.append(FiniteGSet(image, n, rows))
         levels[n] = tuple(out)
     return SymmetricSequence(m.target, levels)
 
@@ -357,14 +350,14 @@ def noninjective_induction_counterexample(f: Homomorphism) -> NonInjectiveWitnes
         raise GroupError("f must be noninjective to produce the obstruction")
     G = f.source
     T = coset_hset(full_subgroup(G), trivial_subgroup(G))
-    gamma = graph_subgroup(G, full_subgroup(G), T)
-    induced_pairs = frozenset((f.map[g], sigma) for g, sigma in gamma.pairs)
+    graph = frozenset(zip(G.elements(), T.act))
+    induced_pairs = frozenset((f.map[g], sigma) for g, sigma in graph)
     k = next(a for a in G.elements() if a != 0 and f.map[a] == 0)
     perm = T.act_of(k)
     verified = (
         perm != identity_perm(G.order)
         and (0, perm) in induced_pairs
-        and is_sigma_free_pairs(gamma.pairs)
+        and is_sigma_free_pairs(graph)
         and not is_sigma_free_pairs(induced_pairs)
     )
     return NonInjectiveWitness(k, perm, induced_pairs, verified)

@@ -33,7 +33,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .groups import (
     FiniteGSet,
-    GraphSubgroup,
     Group,
     GroupError,
     Perm,
@@ -103,12 +102,12 @@ Term = Var | App
 class SymbolPool:
     """Symbols with their group action and optional operad data.
 
-    ``g_action[(sym, g)] = (sym2, sigma)`` records g . sym = sym2 . sigma,
-    the unique factorization through orbit representatives, and
-    ``compose_table[(h, k, f)] = (ell, sigma)`` that h with f in slot k
-    (1-based) is ell . sigma, for factors with genuine operad structure
-    (free generators have none).  The pool keeps both dicts and checks
-    every entry as it builds what the rules read: one row per symbol,
+    It is built from two dicts: ``g_action[(sym, g)] = (sym2, sigma)``
+    records g . sym = sym2 . sigma, the unique factorization through orbit
+    representatives, and ``compose_table[(h, k, f)] = (ell, sigma)`` that
+    h with f in slot k (1-based) is ell . sigma, for factors with genuine
+    operad structure (free generators have none).  The pool checks every
+    entry and keeps only what the rules read: one row per symbol,
     ``rows[sym][g] = (sym2, sigma, sigma^-1)``, and one composite table
     per head symbol, ``composites[h][(k - 1, f)] = (ell, sigma^-1)``.
     """
@@ -121,16 +120,14 @@ class SymbolPool:
                  z: Optional[OpSymbol] = None):
         self.group = group
         self.symbols = tuple(symbols)
-        self.g_action = dict(g_action)
         self.x_identity = x_identity
         self.y_identity = y_identity
-        self.compose_table = dict(compose_table or {})
         self.z = z
-        self.validate()
+        self.validate(g_action, compose_table or {})
 
-    def validate(self) -> None:
-        """Build the rows and the composite table, then check the group
-        law and z on the rows."""
+    def validate(self, g_action: dict, compose_table: dict) -> None:
+        """Build the rows and the composite table from the two dicts, then
+        check the group law and z on the rows."""
         G = self.group
         inverses: dict = {}  # each distinct sigma is checked and inverted once
 
@@ -149,9 +146,9 @@ class SymbolPool:
         for sym in self.symbols:
             row = []
             for g in G.elements():
-                if (sym, g) not in self.g_action:
+                if (sym, g) not in g_action:
                     raise RewriteError(f"missing action of {g} on {sym}")
-                image, sigma = self.g_action[(sym, g)]
+                image, sigma = g_action[(sym, g)]
                 if image not in pooled:
                     raise RewriteError(f"{g} moves {sym} out of the pool")
                 if image.arity != sym.arity:
@@ -161,7 +158,7 @@ class SymbolPool:
                 row.append((image, sigma, inv))
             self.rows[sym] = tuple(row)
         self.composites = {}
-        for (h, k, f), (ell, sigma) in self.compose_table.items():
+        for (h, k, f), (ell, sigma) in compose_table.items():
             what = lambda: f"composite ({h}, {k}, {f})"  # noqa: E731
             if h not in pooled or f not in pooled or ell not in pooled:
                 raise RewriteError(f"{what()} names a symbol not in the pool")
@@ -198,9 +195,9 @@ class SymbolPool:
 
     def union(self, other: "SymbolPool", z: Optional[OpSymbol]
               ) -> "SymbolPool":
-        """Both pools' symbols, tables and rows in one pool with constant
-        z.  Each side was validated in full when it was built and the two
-        share no factor, so only the group and z are checked here."""
+        """Both pools' symbols, rows and composites in one pool with
+        constant z.  Each side was validated in full when it was built and
+        the two share no factor, so only the group and z are checked here."""
         if self.group != other.group:
             raise RewriteError("factors live over different groups")
         if {s.factor for s in self.symbols} & {s.factor for s in other.symbols}:
@@ -208,11 +205,9 @@ class SymbolPool:
         pool = object.__new__(SymbolPool)  # skips the per-block validation
         pool.group = self.group
         pool.symbols = self.symbols + other.symbols
-        pool.g_action = {**self.g_action, **other.g_action}
         pool.rows = {**self.rows, **other.rows}
         pool.x_identity = self.x_identity or other.x_identity
         pool.y_identity = self.y_identity or other.y_identity
-        pool.compose_table = {**self.compose_table, **other.compose_table}
         pool.composites = {**self.composites, **other.composites}
         pool.z = z
         pool._check_z()
@@ -714,25 +709,25 @@ def marked_symbols(G: Group, factor: str) -> tuple[list[OpSymbol], dict]:
     return [u, p], action
 
 
-def orbit_symbols(orb: GraphSubgroup, factor: str, start: int
+def orbit_symbols(T: FiniteGSet, factor: str, start: int
                   ) -> tuple[list[OpSymbol], dict, dict]:
-    """Sigma-orbit representative symbols of one free orbit.
+    """Sigma-orbit representative symbols of the free orbit of an H-set T.
 
     There is one symbol per coset aH; the group action table follows
     g . f_aH = f_gaH . sigma_T(b^-1 g a) with b the coset representative.
     """
-    G = orb.group
-    reps, number = cosets(G, G.elements(), orb.subgroup)
-    symbols = [OpSymbol(factor, start + i, orb.arity) for i in range(len(reps))]
+    G = T.group
+    reps, number = cosets(G, G.elements(), T.subgroup)
+    symbols = [OpSymbol(factor, start + i, T.size) for i in range(len(reps))]
     action = {}
     for sym, r in zip(symbols, reps):
         for g in G.elements():
             ga = G.mul[g][r]
             j = number[ga]
             h = G.mul[G.inv[reps[j]]][ga]
-            action[(sym, g)] = (symbols[j], orb.hset.act_of(h))
+            action[(sym, g)] = (symbols[j], T.act_of(h))
     # the identity coset comes first, since 0 is the least element
-    return symbols, action, {orb: symbols[0]}
+    return symbols, action, {T: symbols[0]}
 
 
 @dataclass(frozen=True)
@@ -752,8 +747,8 @@ def _factor_part(factor: str, group: Group, levels: tuple) -> FactorPart:
     symbols, action = marked_symbols(group, factor)
     base = {}
     for _, orbits in levels:
-        for orb in orbits:
-            syms, acts, b = orbit_symbols(orb, factor, len(symbols))
+        for T in orbits:
+            syms, acts, b = orbit_symbols(T, factor, len(symbols))
             symbols.extend(syms)
             action.update(acts)
             base.update(b)
@@ -894,10 +889,10 @@ class WitnessTable:
         self.transfer = symseq_transfer(symseq)
         self.witnesses: dict[tuple[int, int], Witness] = {}
         for n in sorted(symseq.levels):
-            for orb in symseq.levels[n]:
-                H = orb.subgroup
-                k_id, h_id = orb.hset.stabilizer_ids[0], lat.id_of(H)
-                term = App(base[orb], tuple(Var(i + 1) for i in range(n)))
+            for T in symseq.levels[n]:
+                H = T.subgroup
+                k_id, h_id = T.stabilizer_ids[0], lat.id_of(H)
+                term = App(base[T], tuple(Var(i + 1) for i in range(n)))
                 struct = fixed_structure(pool, term, H)
                 if struct is None:
                     raise RewriteError(f"generator is not fixed under {H}: "

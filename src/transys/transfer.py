@@ -490,7 +490,7 @@ def ts_to_json(t: TransferSystem) -> dict:
 def _relation_from_json(data) -> tuple[Group, SubgroupLattice, Rel]:
     G = group_from_json(json_field(data, "group", "transfer system"))
     lat = lattice_of(G)
-    pairs = json_field(data, "pairs", "transfer system")
+    pairs = json_field(data, "pairs", "transfer system", list)
     rel = rel_from_pairs(lat.count, pairs)
     for i, j in pairs:
         if i == j:

@@ -227,6 +227,33 @@ def test_ts_file_without_group_rejected(tmp_path, capsys):
     assert "missing the key 'mul'" in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    # the first three used to escape as TypeError tracebacks
+    ({"group": "C4", "pairs": 5}, "key 'pairs' must be a list, got int"),
+    ({"group": {"mul": 5}, "pairs": []}, "key 'mul' must be a list, got int"),
+    ({"group": {"mul": [1]}, "pairs": []},
+     "key 'mul' must be a list of rows, each a list"),
+    # these used to be accepted, the first echoed back as "order": 1
+    ({"group": {"name": "G", "order": 5, "mul": [[0]]}, "pairs": []},
+     "group key 'order' is 5, but 'mul' has 1 rows"),
+    ({"group": {"order": True, "mul": [[0]]}, "pairs": []},
+     "group key 'order' is True"),
+    ({"group": {"name": 5, "mul": [[0]]}, "pairs": []},
+     "group key 'name' must be a str, got int"),
+])
+def test_ts_wire_values_of_the_wrong_shape_rejected(payload, message,
+                                                    tmp_path, capsys):
+    err = _missing_key(tmp_path, capsys, payload, "ts", "validate")
+    assert err.startswith("error: ") and message in err
+
+
+def test_ts_group_order_equal_to_the_table_size_accepted(tmp_path, capsys):
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"group": {"order": 1, "mul": [[0]]},
+                                "pairs": []}))
+    assert run(capsys, "ts", "validate", str(path))[0] == 0
+
+
 def test_ts_file_not_an_object_rejected(tmp_path, capsys):
     err = _missing_key(tmp_path, capsys, [], "ts", "validate")
     assert "must be a JSON object" in err and "'group'" in err
@@ -239,6 +266,18 @@ def test_hom_file_without_map_rejected(tmp_path, capsys):
                        "functor", "apply", "--kind", "fL", "--input", str(c2),
                        "--hom-file")
     assert "missing the key 'map'" in err
+
+
+def test_hom_file_map_not_a_list_rejected(tmp_path, capsys):
+    # used to escape as a TypeError traceback
+    c2 = tmp_path / "c2.json"
+    c2.write_text(json.dumps({"group": "C2", "pairs": []}))
+    err = _missing_key(tmp_path, capsys,
+                       {"source": "C2", "target": "C4", "map": 5},
+                       "functor", "apply", "--kind", "fL", "--input", str(c2),
+                       "--hom-file")
+    assert err.startswith("error: ")
+    assert "hom key 'map' must be a list, got int" in err
 
 
 def test_functor_apply(tmp_path, capsys):

@@ -1,4 +1,7 @@
-"""Group substrate tests: catalog, subgroups, homs, actions, graph subgroups."""
+"""Group substrate tests: catalog, subgroups, homs, actions, graph subgroups.
+
+The graph subgroup of an H-set T is {(h, sigma_T(h))} inside G x Sigma_n;
+the library keeps only T, and `graph` below spells the graph out."""
 
 import itertools
 import random
@@ -24,7 +27,6 @@ from transys.groups import (
     full_subgroup,
     generated_subgroup,
     generators,
-    graph_subgroup,
     graph_conjugacy_label,
     hset_of_orbits,
     hsets_up_to_iso,
@@ -41,6 +43,11 @@ from transys.groups import (
 )
 from transys.indexing import admissible_sets_of_symseq
 from transys.operads import SymmetricSequence
+
+
+def graph(T):
+    """The graph {(h, sigma_T(h))} of an H-set T, as a set of pairs."""
+    return frozenset(zip(T.subgroup.members, T.act))
 
 
 @pytest.mark.parametrize("name", ["C1", "C6", "K4", "S3", "D4", "C2xC4"])
@@ -319,28 +326,26 @@ def test_graph_subgroup_basics():
     full = full_subgroup(C4)
     C2_in_C4 = Subgroup(C4, (0, 2))
     # trivial T: Gamma = H x {id}
-    gs = graph_subgroup(C4, full, hset_of_orbits(full, (full,) * 3))
-    assert len(gs.pairs) == 4
-    assert all(sigma == identity_perm(3) for _, sigma in gs.pairs)
+    gs = graph(hset_of_orbits(full, (full,) * 3))
+    assert len(gs) == 4
+    assert all(sigma == identity_perm(3) for _, sigma in gs)
     # C2 acting on itself: generator goes to the swap
     C2 = cyclic_group(2)
-    T = coset_hset(full_subgroup(C2), trivial_subgroup(C2))
-    gs = graph_subgroup(C2, full_subgroup(C2), T)
-    assert (1, (1, 0)) in gs.pairs
+    gs = graph(coset_hset(full_subgroup(C2), trivial_subgroup(C2)))
+    assert (1, (1, 0)) in gs
     # C4 on C4/C2: order-4 graph with generator over the swap
-    T = coset_hset(full, C2_in_C4)
-    gs = graph_subgroup(C4, full, T)
-    assert len(gs.pairs) == 4
-    assert (1, (1, 0)) in gs.pairs
+    gs = graph(coset_hset(full, C2_in_C4))
+    assert len(gs) == 4
+    assert (1, (1, 0)) in gs
 
 
-def seed_graph_conjugacy_label(gs):
+def seed_graph_conjugacy_label(T):
     """The label from conjugated tables: each H^g and T^g is built, then
     read back as a lattice id and an orbit type."""
-    lat = lattice_of(gs.group)
-    return (gs.arity, min((lat.id_of(gs.subgroup.conjugate(g)),
-                           iso_key(gs.hset.conjugate(g)))
-                          for g in gs.group.elements()))
+    lat = lattice_of(T.group)
+    return (T.size, min((lat.id_of(T.subgroup.conjugate(g)),
+                         iso_key(T.conjugate(g)))
+                        for g in T.group.elements()))
 
 
 def test_graph_conjugacy_label_matches_conjugated_tables():
@@ -350,9 +355,8 @@ def test_graph_conjugacy_label_matches_conjugated_tables():
         for H in all_subgroups(G):
             for n in range(5):
                 for T in hsets_up_to_iso(H, n):
-                    gs = graph_subgroup(G, H, T)
-                    assert (graph_conjugacy_label(gs)
-                            == seed_graph_conjugacy_label(gs)), (name, gs, n)
+                    assert (graph_conjugacy_label(T)
+                            == seed_graph_conjugacy_label(T)), (name, T, n)
                     seen += 1
     assert seen == 969
 
@@ -373,34 +377,33 @@ def test_graph_subgroups_of_isomorphic_hsets_are_conjugate():
             assert iso_key(T2) == iso_key(T)
             # the relabelling is the isomorphism T -> T2
             phi = tuple(relabel)
-            g1 = graph_subgroup(S3, H, T)
-            g2 = graph_subgroup(S3, H, T2)
             conj = {(h, compose(phi, compose(sigma, invert(phi))))
-                    for h, sigma in g1.pairs}
-            assert conj == set(g2.pairs)
-            assert graph_conjugacy_label(g1) == graph_conjugacy_label(g2)
+                    for h, sigma in graph(T)}
+            assert conj == graph(T2)
+            assert graph_conjugacy_label(T) == graph_conjugacy_label(T2)
             # each graph is subconjugate to the other
             entry = (lattice_of(S3).id_of(H), iso_key(T))
-            for orb in (g1, g2):
+            for orb in (T, T2):
                 level = SymmetricSequence(S3, {T.size: (orb,)})
                 assert entry in admissible_sets_of_symseq(level).entries
 
 
-def _materialized_fixed_points(G, gamma_small, gamma_big):
-    """Oracle: Gamma-fixed cosets of (G x Sigma_n)/Gamma' by brute force."""
-    n = gamma_big.arity
+def _materialized_fixed_points(G, small, big):
+    """Oracle: fixed cosets of (G x Sigma_n)/Gamma_big under Gamma_small,
+    the graphs of the H-sets small and big, by brute force."""
+    n = big.size
     perms = sorted(itertools.permutations(range(n)))
-    sigma_big = {h: gamma_big.hset.act_of(h) for h in gamma_big.subgroup.members}
+    sigma_big = dict(graph(big))
 
     def coset_rep(a, pi):
         return min((G.mul[a][h], compose(pi, sigma_big[h]))
-                   for h in gamma_big.subgroup.members)
+                   for h in big.subgroup.members)
 
     points = {coset_rep(a, pi) for a in G.elements() for pi in perms}
     count = 0
     for a, pi in points:
         if all(coset_rep(G.mul[g][a], compose(s, pi)) == (a, pi)
-               for g, s in gamma_small.pairs):
+               for g, s in graph(small)):
             count += 1
     return count
 
@@ -411,15 +414,14 @@ def test_subconjugacy_matches_materialized_orbits():
     for G in (cyclic_group(4), symmetric_group(3)):
         lat = lattice_of(G)
         for n in (1, 2, 3):
-            gammas = [graph_subgroup(G, H, T)
-                      for H in lat.subgroups for T in hsets_up_to_iso(H, n)]
-            for g2 in gammas:
+            sets = [T for H in lat.subgroups for T in hsets_up_to_iso(H, n)]
+            for T2 in sets:
                 admitted = admissible_sets_of_symseq(
-                    SymmetricSequence(G, {n: (g2,)})).entries
-                for g1 in gammas:
-                    oracle = _materialized_fixed_points(G, g1, g2) > 0
-                    entry = (lat.id_of(g1.subgroup), iso_key(g1.hset))
-                    assert (entry in admitted) == oracle, (g1, g2)
+                    SymmetricSequence(G, {n: (T2,)})).entries
+                for T1 in sets:
+                    oracle = _materialized_fixed_points(G, T1, T2) > 0
+                    entry = (lat.id_of(T1.subgroup), iso_key(T1))
+                    assert (entry in admitted) == oracle, (T1, T2)
 
 
 def test_induce_hset():
@@ -436,9 +438,11 @@ def test_induce_hset():
 
 def test_right_coset_gset():
     C4 = cyclic_group(4)
-    X = right_coset_gset(C4, Subgroup(C4, (0, 2)))
-    assert X.size == 2 and X.side == "right"
-    # right multiplication by the generator swaps the two cosets
+    C2 = Subgroup(C4, (0, 2))
+    X = right_coset_gset(C4, C2)
+    # C2\C4 as the isomorphic left C4-set C4/C2
+    assert X.size == 2 and X == coset_hset(full_subgroup(C4), C2)
+    # the generator swaps the two cosets
     assert X.act_of(1) == (1, 0)
 
 

@@ -7,6 +7,11 @@ chain of validated disjoint unions, the member-tuple `iso_key`, and
 `admissible_class_of_transfer` as `admits` over every enumerated H-set,
 and `admissible_sets_of_symseq` as a subconjugacy test on the graph of
 every enumerated H-set, conjugating and restricting action tables.
+
+`right_coset_gset` once built H\\G as a right action table; it now returns
+the isomorphic left G-set G/H.  The right table and the coinduced criterion
+read on it (an element that fixes a point must act trivially) are kept
+here as the oracle of the coinduced operads.
 """
 
 import random
@@ -19,7 +24,6 @@ from transys.groups import (
     Subgroup,
     coset_hset,
     full_subgroup,
-    graph_subgroup,
     hset_of_orbits,
     hsets_up_to_iso,
     induce_hset,
@@ -32,9 +36,9 @@ from transys.indexing import (
     admissible_class_of_transfer,
     admissible_sets_of_symseq,
 )
-from transys.operads import free_model
+from transys.operads import CoindAsOperad, coind_as_product_check, free_model
 from transys.rewrite import OpSymbol, orbit_symbols
-from transys.transfer import enumerate_transfer_systems
+from transys.transfer import enumerate_transfer_systems, rel_from_pairs
 
 TABLE_GROUPS = tuple(f"C{n}" for n in range(1, 13)) + ("K4", "S3", "D4",
                                                         "C2xC4")
@@ -63,6 +67,8 @@ def old_coset_hset(H, K):
 
 
 def old_right_coset_gset(G, H):
+    """The right cosets Hg by least element, and the right action table:
+    row g sends the point of Hr to the point of Hrg."""
     seen = set()
     cosets = []
     for g in G.elements():
@@ -74,8 +80,41 @@ def old_right_coset_gset(G, H):
     point_of = {x: i for i, cs in enumerate(cosets) for x in cs}
     reps = [min(cs) for cs in cosets]
     rows = [tuple(point_of[G.mul[r][g]] for r in reps) for g in G.elements()]
-    return FiniteGSet(full_subgroup(G), len(cosets), tuple(rows),
-                      side="right")
+    return cosets, tuple(rows)
+
+
+def old_coind_admits(rows, H, T):
+    """The coinduced criterion on a right G-set table: every element of H
+    fixing a point must act as the identity on T."""
+    return all(T.act_of(h) == tuple(range(T.size)) for h in H.members
+               if any(x == y for x, y in enumerate(rows[h])))
+
+
+def old_coind_transfer(lat, rows):
+    pairs = [(k_id, h_id) for h_id, H in enumerate(lat.subgroups)
+             for k_id in lat.ids_below(h_id) if k_id != h_id
+             and old_coind_admits(rows, H, coset_hset(H, lat.subgroups[k_id]))]
+    return rel_from_pairs(lat.count, pairs)
+
+
+def old_coind_as_product_check(lat, x_rows, y_rows):
+    """(passed, cases checked) of the product check on right tables, the
+    disjoint union being the rows side by side."""
+    n = len(x_rows[0])
+    xy_rows = [x + tuple(p + n for p in y) for x, y in zip(x_rows, y_rows)]
+    checked = 0
+    for h_id, H in enumerate(lat.subgroups):
+        for k_id in lat.ids_below(h_id):
+            T = coset_hset(H, lat.subgroups[k_id])
+            checked += 1
+            if old_coind_admits(xy_rows, H, T) != (
+                    old_coind_admits(x_rows, H, T)
+                    and old_coind_admits(y_rows, H, T)):
+                return False, checked
+    # the meet of two transfer systems is their intersection
+    both = tuple(tuple(map(bool.__and__, x, y)) for x, y in zip(
+        old_coind_transfer(lat, x_rows), old_coind_transfer(lat, y_rows)))
+    return old_coind_transfer(lat, xy_rows) == both, checked
 
 
 def old_induce_hset(H, T):
@@ -138,12 +177,12 @@ def old_iso_key(T):
                         for _, stab in old_orbit_stabilizers(T)))
 
 
-def old_orbit_symbols(orb, factor, start):
-    G = orb.group
-    cosets = _left_cosets(G, G.elements(), orb.subgroup)
+def old_orbit_symbols(T, factor, start):
+    G = T.group
+    cosets = _left_cosets(G, G.elements(), T.subgroup)
     reps = [min(cs) for cs in cosets]
     rep_of = {a: min(cs) for cs in cosets for a in cs}
-    symbols = {r: OpSymbol(factor, start + i, orb.arity)
+    symbols = {r: OpSymbol(factor, start + i, T.size)
                for i, r in enumerate(reps)}
     action = {}
     for r in reps:
@@ -151,13 +190,23 @@ def old_orbit_symbols(orb, factor, start):
             ga = G.mul[g][r]
             b = rep_of[ga]
             h = G.mul[G.inv[b]][ga]
-            action[(symbols[r], g)] = (symbols[b], orb.hset.act_of(h))
-    return list(symbols.values()), action, {orb: symbols[rep_of[0]]}
+            action[(symbols[r], g)] = (symbols[b], T.act_of(h))
+    return list(symbols.values()), action, {T: symbols[rep_of[0]]}
 
 
 def _same(T, U):
-    return (T.subgroup, T.size, T.act, T.side) == (U.subgroup, U.size, U.act,
-                                                    U.side)
+    return (T.subgroup, T.size, T.act) == (U.subgroup, U.size, U.act)
+
+
+def _same_through_inverse(G, H, X):
+    """Whether the left G-set X is the old right table of H\\G carried
+    along Hg -> g^-1 H: g acts on the image of x as g^-1 acted on x."""
+    cosets, rows = old_right_coset_gset(G, H)
+    left = _left_cosets(G, G.elements(), H)
+    phi = [left.index(frozenset(G.inv[a] for a in cs)) for cs in cosets]
+    return (X.subgroup == full_subgroup(G) and X.size == len(cosets)
+            and all(X.act_of(g)[phi[x]] == phi[rows[G.inv[g]][x]]
+                    for g in G.elements() for x in range(len(cosets))))
 
 
 @pytest.mark.parametrize("name", TABLE_GROUPS)
@@ -165,7 +214,7 @@ def test_action_tables_match_seed(name):
     G = group_by_name(name)
     lat = lattice_of(G)
     for H in lat.subgroups:
-        assert _same(right_coset_gset(G, H), old_right_coset_gset(G, H))
+        assert _same_through_inverse(G, H, right_coset_gset(G, H))
         for n in range(4):
             assert _same(hset_of_orbits(H, (H,) * n),
                          FiniteGSet(H, n, tuple(tuple(range(n))
@@ -238,6 +287,28 @@ def test_iso_key_equality_matches_seed_key(name):
         == len({old for _, old in keys})
 
 
+@pytest.mark.parametrize("name", ["C4", "C8", "K4", "S3", "D4"])
+def test_coinduced_operads_match_right_action_criterion(name):
+    """Set(H\\G, As) from the left G-set G/H decides every (H', H'/K),
+    its transfer system and the product checks as the right table did."""
+    G = group_by_name(name)
+    lat = lattice_of(G)
+    xsets = [right_coset_gset(G, H) for H in lat.subgroups]
+    tables = [old_right_coset_gset(G, H)[1] for H in lat.subgroups]
+    for X, rows in zip(xsets, tables):
+        op = CoindAsOperad(X)
+        for h_id, H in enumerate(lat.subgroups):
+            for k_id in lat.ids_below(h_id):
+                T = coset_hset(H, lat.subgroups[k_id])
+                assert op.admits(H, T) == old_coind_admits(rows, H, T)
+        assert op.transfer().rel == old_coind_transfer(lat, rows)
+    for X, x_rows in zip(xsets, tables):
+        for Y, y_rows in zip(xsets, tables):
+            report = coind_as_product_check(X, Y)
+            assert (report.passed, report.checked) \
+                == old_coind_as_product_check(lat, x_rows, y_rows)
+
+
 @pytest.mark.parametrize("name", CLASS_GROUPS)
 def test_orbit_symbols_match_seed(name):
     G = group_by_name(name)
@@ -257,16 +328,16 @@ def old_are_isomorphic(T1, T2):
             and iso_key(T1) == iso_key(T2))
 
 
-def old_is_subconjugate(g1, g2):
-    """Whether g1 is subconjugate to g2 inside G x Sigma_n: some g in G has
-    H1 <= g H2 g^-1 and T1 iso to res c_g T2."""
-    if g1.group != g2.group or g1.arity != g2.arity:
+def old_is_subconjugate(T1, T2):
+    """Whether the graph of T1 is subconjugate to the graph of T2 inside
+    G x Sigma_n: some g in G has H1 <= g H2 g^-1 and T1 iso to res c_g T2."""
+    if T1.group != T2.group or T1.size != T2.size:
         return False
-    for g in g1.group.elements():
-        if not g2.subgroup.conjugate(g).contains(g1.subgroup):
+    for g in T1.group.elements():
+        if not T2.subgroup.conjugate(g).contains(T1.subgroup):
             continue
-        moved = old_restrict(g2.hset.conjugate(g), g1.subgroup)
-        if old_are_isomorphic(g1.hset, moved):
+        moved = old_restrict(T2.conjugate(g), T1.subgroup)
+        if old_are_isomorphic(T1, moved):
             return True
     return False
 
@@ -278,8 +349,7 @@ def old_admissible_sets_of_symseq(symseq):
     for n in sorted(symseq.levels):
         for H in lat.subgroups:
             for T in hsets_up_to_iso(H, n):
-                gamma = graph_subgroup(G, H, T)
-                if any(old_is_subconjugate(gamma, orb)
+                if any(old_is_subconjugate(T, orb)
                        for orb in symseq.levels[n]):
                     entries.add((lat.id_of(H), iso_key(T)))
     return frozenset(entries)

@@ -37,9 +37,9 @@ def old_symseq_transfer(S):
     lat = lattice_of(S.group)
     pairs = set()
     for orbits in S.levels.values():
-        for orb in orbits:
-            h_id = lat.id_of(orb.subgroup)
-            pairs.update((k_id, h_id) for k_id in orb.hset.stabilizer_ids)
+        for T in orbits:
+            h_id = lat.id_of(T.subgroup)
+            pairs.update((k_id, h_id) for k_id in T.stabilizer_ids)
     return generate_pairs(lat, pairs)
 
 

@@ -16,7 +16,6 @@ from transys.groups import (
     full_subgroup,
     FiniteGSet,
     graph_conjugacy_label,
-    graph_subgroup,
     hset_of_orbits,
     identity_perm,
     invert,
@@ -72,15 +71,17 @@ def coind_level(op, n):
     return list(itertools.product(perms, repeat=op.xset.size))
 
 
-def coind_fixed_count(op, gamma):
-    """Gamma-fixed points of the materialized level, by brute force."""
+def coind_fixed_count(op, T):
+    """Points of the materialized level fixed by the graph of the H-set T,
+    by brute force: (g, sigma) sends alpha to x -> alpha(g^-1 x) sigma^-1."""
     X = op.xset
-    pairs = [(g, invert(sigma)) for g, sigma in gamma.pairs]
+    G = X.group
+    pairs = [(g, invert(T.act_of(g))) for g in T.subgroup.members]
     return sum(
-        all(tuple(compose(alpha[X.act_of(g)[x]], sigma_inv)
+        all(tuple(compose(alpha[X.act_of(G.inv[g])[x]], sigma_inv)
                   for x in range(X.size)) == alpha
             for g, sigma_inv in pairs)
-        for alpha in coind_level(op, gamma.arity))
+        for alpha in coind_level(op, T.size))
 
 
 def test_coind_criterion_examples():
@@ -111,8 +112,7 @@ def test_coind_criterion_matches_materialized_levels():
         op = CoindAsOperad(right_coset_gset(C4, lat.subgroups[1]))
         for n in range(1, 4):
             for T in hsets_up_to_iso(H, n):
-                gamma = graph_subgroup(C4, H, T)
-                assert op.admits(H, T) == (coind_fixed_count(op, gamma) > 0)
+                assert op.admits(H, T) == (coind_fixed_count(op, T) > 0)
 
 
 def test_coind_materialization_guard():
@@ -120,7 +120,7 @@ def test_coind_materialization_guard():
     C4 = group_by_name("C4")
     full = full_subgroup(C4)
     trivial9 = hset_of_orbits(full, (full,) * 9)
-    big = SymmetricSequence(C4, {9: (graph_subgroup(C4, full, trivial9),)})
+    big = SymmetricSequence(C4, {9: (trivial9,)})
     with pytest.raises(MaterializationError, match="needs 1451520 elements"):
         double_coset_check(catalog_hom("id_C4"), big)
     # the coinduced operad decides that arity by its criterion alone
@@ -253,10 +253,10 @@ def test_double_coset_check():
 def seed_direct_pullback_labels(f, orb):
     """The direct pullback with each point found as the least member of
     its coset by |H| compositions, acted on by every element of G."""
-    G, Gp, n = f.source, f.target, orb.arity
+    G, Gp, n = f.source, f.target, orb.size
     assert Gp.order * math.factorial(n) <= DEFAULT_LEVEL_GUARD
     H = orb.subgroup
-    sigma = {h: orb.hset.act_of(h) for h in H.members}
+    sigma = {h: orb.act_of(h) for h in H.members}
     perms = sorted(itertools.permutations(range(n)))
 
     def coset_rep(a, pi):
@@ -293,8 +293,8 @@ def seed_direct_pullback_labels(f, orb):
                 members.append(g)
                 rows[g] = compose(pi, compose(sigma[h], invert(pi)))
         L = Subgroup(G, tuple(members))
-        T = FiniteGSet(L, n, tuple(rows[g] for g in L.members))
-        labels.append(graph_conjugacy_label(graph_subgroup(G, L, T)))
+        labels.append(graph_conjugacy_label(
+            FiniteGSet(L, n, tuple(rows[g] for g in L.members))))
     return sorted(labels)
 
 

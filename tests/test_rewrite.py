@@ -11,7 +11,6 @@ from transys import rewrite
 from transys.catalog import group_by_name
 from transys.groups import (
     compose,
-    graph_subgroup,
     hset_of_orbits,
     identity_perm,
     lattice_of,
@@ -611,7 +610,7 @@ def _c4_sequence(*orbits):
     for h_id, parts in orbits:
         H = lat.subgroups[h_id]
         T = hset_of_orbits(H, [lat.subgroups[k] for k in parts])
-        levels.setdefault(T.size, []).append(graph_subgroup(C4, H, T))
+        levels.setdefault(T.size, []).append(T)
     return SymmetricSequence(C4, levels)
 
 

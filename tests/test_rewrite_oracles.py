@@ -12,14 +12,16 @@ every step and weighed the whole term after every step
 normal forms cached by structure on top of it, and join witnesses
 verified by building a `FiniteGSet` for the normal form are kept as
 oracles too (`restart_check_criteria`, `restart_witness`).  So are the
-local rules, `act_g` and `fixed_perm` that read the pool's `g_action` and
-`compose_table` dicts (`dict_local_coproduct`, `dict_local_tensor`,
-`dict_act_g`, `dict_fixed_perm`), against the action rows and composite
-tables the pool builds from them."""
+local rules, `act_g` and `fixed_perm` that read the `g_action` and
+`compose_table` dicts a pool is built from (`dict_local_coproduct`,
+`dict_local_tensor`, `dict_act_g`, `dict_fixed_perm`), against the action
+rows and composite tables the pool builds from them.  The pool keeps only
+its rows and composites, so the `dict_tables` fixture records the dicts."""
 
 import copy
 import functools
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -174,8 +176,7 @@ class SeedWitnessTable:
             for orb in symseq.levels[n]:
                 t0 = App(base[orb], tuple(Var(i + 1) for i in range(n)))
                 w0 = self._checked(self.lat.id_of(orb.subgroup), t0)
-                for orbit, k_id in zip(orb.hset.orbits(),
-                                       orb.hset.stabilizer_ids):
+                for orbit, k_id in zip(orb.orbits(), orb.stabilizer_ids):
                     plugged = seed_plug_orbit(w0, orbit, self.filler)
                     self._insert(k_id, self.lat.id_of(orb.subgroup), plugged)
         self.generated = len(self.witnesses)
@@ -697,7 +698,7 @@ def test_pair_pool_matches_per_pair_build(name):
             pool, base_x, base_y = pool_from_free_models(S, T)
             seed, seed_x, seed_y = seed_pool_from_free_models(S, T)
             assert pool.symbols == seed.symbols
-            assert pool.g_action == seed.g_action
+            assert pool.rows == seed.rows
             assert pool.z == seed.z
             assert (base_x, base_y) == (seed_x, seed_y)
             factory = WitnessFactory(S, T)
@@ -707,7 +708,7 @@ def test_pair_pool_matches_per_pair_build(name):
             oracle.table_y = WitnessTable(seed, T, seed_y)
             oracle.join = join(oracle.table_x.transfer, oracle.table_y.transfer)
             assert factory.pool.symbols == seed.symbols
-            assert factory.pool.g_action == seed.g_action
+            assert factory.pool.rows == seed.rows
             assert factory.table_x.witnesses == oracle.table_x.witnesses
             assert factory.table_y.witnesses == oracle.table_y.witnesses
             assert factory.join == oracle.join
@@ -775,7 +776,7 @@ def test_broken_action_row_in_one_factor_is_rejected(fresh_parts, monkeypatch):
 
     def broken(orb, factor, start):
         syms, acts, b = orbit_symbols(orb, factor, start)
-        acts[(syms[0], 1)] = (syms[0], identity_perm(orb.arity))
+        acts[(syms[0], 1)] = (syms[0], identity_perm(orb.size))
         return syms, acts, b
 
     monkeypatch.setattr(rewrite, "orbit_symbols", broken)
@@ -792,7 +793,8 @@ def test_factor_parts_are_built_once_per_system(fresh_parts, monkeypatch):
     validated = []
     validate = SymbolPool.validate
     monkeypatch.setattr(SymbolPool, "validate",
-                        lambda pool: validated.append(pool) or validate(pool))
+                        lambda pool, *tables: validated.append(pool)
+                        or validate(pool, *tables))
     models = [free_model(s)
               for s in enumerate_transfer_systems(group_by_name("C4"))]
     for S in models:
@@ -831,11 +833,35 @@ def test_union_checks_group_factors_and_z():
 # the dict path: the rules, act_g and fixed_perm of the seed, reading the
 # tables the pool was built from, against the interned rows and composites
 
+#: pool -> (g_action, compose_table) it was built from, merged on union;
+#: filled while the `dict_tables` fixture is in use
+TABLES = weakref.WeakKeyDictionary()
+
+
+@pytest.fixture
+def dict_tables(monkeypatch, fresh_parts):
+    validate, union = SymbolPool.validate, SymbolPool.union
+
+    def recording_validate(pool, g_action, compose_table):
+        validate(pool, g_action, compose_table)
+        TABLES[pool] = (dict(g_action), dict(compose_table))
+
+    def recording_union(pool, other, z):
+        out = union(pool, other, z)
+        TABLES[out] = tuple({**a, **b}
+                            for a, b in zip(TABLES[pool], TABLES[other]))
+        return out
+
+    monkeypatch.setattr(SymbolPool, "validate", recording_validate)
+    monkeypatch.setattr(SymbolPool, "union", recording_union)
+    yield TABLES
+    TABLES.clear()
+
 
 def dict_act_g(pool, g, t):
     if isinstance(t, Var):
         return t
-    sym2, sigma = pool.g_action[(t.symbol, g)]
+    sym2, sigma = TABLES[pool][0][(t.symbol, g)]
     inv = invert(sigma)
     return App(sym2, tuple(dict_act_g(pool, g, t.children[inv[i]])
                            for i in range(len(t.children))))
@@ -859,7 +885,7 @@ def dict_local_coproduct(pool, t):
         f = child.symbol
         if f.factor != h.factor:
             continue
-        hit = pool.compose_table.get((h, k + 1, f))
+        hit = TABLES[pool][1].get((h, k + 1, f))
         if hit is None:
             continue
         ell, sigma = hit
@@ -964,7 +990,7 @@ def _dict_path_cases():
             yield f"{name} pair", factory.pool, None, 8, 15, fixed
 
 
-def test_dict_path_matches_rows_and_composites(monkeypatch):
+def test_dict_path_matches_rows_and_composites(monkeypatch, dict_tables):
     """Reducts (rule and order) at every node, act_g, fixed_perm and the
     traced normal forms of seeded streams in both modes, on the pools
     the benchmark and the suites use and on pair pools of four groups."""
