@@ -74,11 +74,22 @@ def json_field(data, key: str, what: str, kind: Optional[type] = None):
     return value
 
 
+def json_keys(data: dict, allowed: tuple[str, ...], what: str) -> None:
+    """Reject a wire-format object with a key outside ``allowed``."""
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise GroupError(f"{what} has unknown keys {unknown}; "
+                         f"it takes {list(allowed)}")
+
+
 def group_from_json(data) -> Group:
     if isinstance(data, str):
         return group_by_name(data)
     if isinstance(data, dict) and "kind" in data:
         kind = data["kind"]
+        takes = ("factors",) if kind == "direct_product" else (
+            () if kind == "klein_four" else ("n",))
+        json_keys(data, ("kind",) + takes, f"group of kind {kind!r}")
         if kind == "direct_product":
             factors = tuple(group_from_json(f)
                             for f in json_field(data, "factors", "group", list))
@@ -88,6 +99,7 @@ def group_from_json(data) -> Group:
             raise GroupError(f"group key 'n' must be an int, got {n!r}")
         return make_group(kind, n)
     rows = json_field(data, "mul", "group", list)
+    json_keys(data, ("mul", "name", "order"), "group")
     if not all(isinstance(row, list) for row in rows):
         raise GroupError("group key 'mul' must be a list of rows, each a list")
     name = json_field(data, "name", "group", str) if "name" in data else "G"
@@ -99,7 +111,9 @@ def group_from_json(data) -> Group:
 
 
 def hom_from_json(data) -> Homomorphism:
-    return Homomorphism(group_from_json(json_field(data, "source", "hom")),
+    source = group_from_json(json_field(data, "source", "hom"))
+    json_keys(data, ("source", "target", "map"), "hom")
+    return Homomorphism(source,
                         group_from_json(json_field(data, "target", "hom")),
                         tuple(json_field(data, "map", "hom", list)))
 

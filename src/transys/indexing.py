@@ -60,33 +60,32 @@ class AdmissibleClass:
 def admissible_sets_of_symseq(symseq) -> AdmissibleClass:
     """All (L, T) admitted by an orbit-presented symmetric sequence.
 
-    A level admits the L-set T when the graph of T is subconjugate to one of
-    the level's orbits Gamma(H, T_H): for some g in G, L <= gHg^-1 and T is
+    The sequence admits the L-set T when the graph of T is subconjugate to
+    one of its orbits Gamma(H, T_H): for some g in G, L <= gHg^-1 and T is
     the restriction of the conjugated set c_g T_H.  Each orbit gHg^-1/K' of
     c_g T_H restricts to L by the double-coset formula, one orbit
     L/(L & rK'r^-1) per r in L\\gHg^-1/K', so T is known by its orbit
-    types without building an action table.  Levels absent from the
-    sequence admit nothing.
+    types without building an action table.  A size that no orbit has
+    admits nothing.
     """
     G = symseq.group
     lat = lattice_of(G)
     entries = set()
-    for orbits in symseq.levels.values():
-        for T_H in orbits:
-            h_id = lat.id_of(T_H.subgroup)
-            stabs = T_H.stabilizer_ids
-            for gh, gks in {(c[h_id], tuple(c[k] for k in stabs))
-                            for c in lat.conj_table}:
-                Hg = lat.subgroups[gh]
-                for l_id in lat.ids_below(gh):
-                    L = lat.subgroups[l_id]
-                    key = sorted(
-                        lat.hclass_rep(l_id, lat.meet_table[l_id][
-                            lat.conj_table[r][k]])
-                        for k in gks
-                        for r in double_cosets(G, L, lat.subgroups[k])
-                        if r in Hg)
-                    entries.add((l_id, tuple(key)))
+    for T_H in symseq.orbits:
+        h_id = lat.id_of(T_H.subgroup)
+        stabs = T_H.stabilizer_ids
+        for gh, gks in {(c[h_id], tuple(c[k] for k in stabs))
+                        for c in lat.conj_table}:
+            Hg = lat.subgroups[gh]
+            for l_id in lat.ids_below(gh):
+                L = lat.subgroups[l_id]
+                key = sorted(
+                    lat.hclass_rep(l_id, lat.meet_table[l_id][
+                        lat.conj_table[r][k]])
+                    for k in gks
+                    for r in double_cosets(G, L, lat.subgroups[k])
+                    if r in Hg)
+                entries.add((l_id, tuple(key)))
     return AdmissibleClass(lat, frozenset(entries))
 
 

@@ -42,43 +42,37 @@ class MaterializationError(RuntimeError):
     """A level was too large to materialize under DEFAULT_LEVEL_GUARD."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymmetricSequence:
-    """Graded family of free orbits; level n lists n-point H-sets T.
+    """Graded family of free orbits, each an n-point H-set T of level
+    n = T.size, stably sorted by level.
 
     Each T stands for the free orbit (G x Sigma_n)/Gamma_T on its graph
-    Gamma_T = {(h, sigma_T(h))}.  Absent levels are absent, not implicitly
-    empty.
+    Gamma_T = {(h, sigma_T(h))}.
     """
 
     group: Group
-    levels: dict[int, tuple[FiniteGSet, ...]]
+    orbits: tuple[FiniteGSet, ...]
 
     def __post_init__(self) -> None:
-        self.levels = {int(n): tuple(orbits) for n, orbits in self.levels.items()}
-        for n, orbits in self.levels.items():
-            for T in orbits:
-                if T.group != self.group or T.size != n:
-                    raise GroupError("orbit does not match its level")
+        object.__setattr__(self, "orbits",
+                           tuple(sorted(self.orbits, key=lambda T: T.size)))
+        if any(T.group != self.group for T in self.orbits):
+            raise GroupError("orbit lives over another group")
 
     def union(self, other: "SymmetricSequence") -> "SymmetricSequence":
         if self.group != other.group:
             raise GroupError("symmetric sequences live over different groups")
-        levels = {n: orbits for n, orbits in self.levels.items()}
-        for n, orbits in other.levels.items():
-            levels[n] = levels.get(n, ()) + orbits
-        return SymmetricSequence(self.group, levels)
+        return SymmetricSequence(self.group, self.orbits + other.orbits)
 
 
 def free_model(t: TransferSystem) -> SymmetricSequence:
     """Free marked presentation of a transfer system: one free orbit
     Gamma(H/K) per nontrivial related pair K -> H."""
     lat = t.lattice
-    levels: dict[int, list[FiniteGSet]] = {}
-    for k_id, h_id in t.pairs():
-        T = coset_hset(lat.subgroups[h_id], lat.subgroups[k_id])
-        levels.setdefault(T.size, []).append(T)
-    return SymmetricSequence(t.group, {n: tuple(v) for n, v in levels.items()})
+    return SymmetricSequence(t.group, tuple(
+        coset_hset(lat.subgroups[h_id], lat.subgroups[k_id])
+        for k_id, h_id in t.pairs()))
 
 
 def symseq_transfer(S: SymmetricSequence) -> TransferSystem:
@@ -87,9 +81,8 @@ def symseq_transfer(S: SymmetricSequence) -> TransferSystem:
     operad on S."""
     lat = lattice_of(S.group)
     columns = [0] * lat.count
-    for orbits in S.levels.values():
-        for T in orbits:
-            columns[lat.id_of(T.subgroup)] |= T.stabilizer_mask
+    for T in S.orbits:
+        columns[lat.id_of(T.subgroup)] |= T.stabilizer_mask
     return generate_columns(lat, columns)
 
 
@@ -203,14 +196,9 @@ def restrict_symseq_predicted(f: Homomorphism, S: SymmetricSequence
     if S.group != Gp:
         raise GroupError("sequence lives on the wrong group for restriction")
     imf = f.image()
-    levels: dict[int, tuple[FiniteGSet, ...]] = {}
-    for n, orbits in S.levels.items():
-        out = []
-        for T in orbits:
-            for r in double_cosets(Gp, imf, T.subgroup):
-                out.append(_pullback_orbit(f, r, T))
-        levels[n] = tuple(out)
-    return SymmetricSequence(G, levels)
+    return SymmetricSequence(G, tuple(
+        _pullback_orbit(f, r, T) for T in S.orbits
+        for r in double_cosets(Gp, imf, T.subgroup)))
 
 
 def _direct_pullback_labels(f: Homomorphism, T: FiniteGSet) -> list:
@@ -284,18 +272,17 @@ def double_coset_check(f: Homomorphism, S: SymmetricSequence) -> LawReport:
     orbit, compared up to conjugacy in G x Sigma_n."""
     checked = 0
     imf = f.image()
-    for n, orbits in sorted(S.levels.items()):
-        for T in orbits:
-            checked += 1
-            predicted = sorted(
-                graph_conjugacy_label(_pullback_orbit(f, r, T))
-                for r in double_cosets(f.target, imf, T.subgroup))
-            direct = _direct_pullback_labels(f, T)
-            if predicted != direct:
-                return LawReport("double-coset decomposition", checked,
-                                 {"level": n,
-                                  "predicted": [str(p) for p in predicted],
-                                  "direct": [str(d) for d in direct]})
+    for T in S.orbits:
+        checked += 1
+        predicted = sorted(
+            graph_conjugacy_label(_pullback_orbit(f, r, T))
+            for r in double_cosets(f.target, imf, T.subgroup))
+        direct = _direct_pullback_labels(f, T)
+        if predicted != direct:
+            return LawReport("double-coset decomposition", checked,
+                             {"level": T.size,
+                              "predicted": [str(p) for p in predicted],
+                              "direct": [str(d) for d in direct]})
     return LawReport("double-coset decomposition", checked)
 
 
@@ -309,15 +296,12 @@ def induce_symseq(m: Homomorphism, S: SymmetricSequence) -> SymmetricSequence:
     if S.group != m.source:
         raise GroupError("sequence lives on the wrong group for induction")
     back = {m.map[a]: a for a in m.source.elements()}
-    levels: dict[int, tuple[FiniteGSet, ...]] = {}
-    for n, orbits in S.levels.items():
-        out = []
-        for T in orbits:
-            image = m.image_subgroup(T.subgroup)
-            rows = tuple(T.act_of(back[a]) for a in image.members)
-            out.append(FiniteGSet(image, n, rows))
-        levels[n] = tuple(out)
-    return SymmetricSequence(m.target, levels)
+    induced = []
+    for T in S.orbits:
+        image = m.image_subgroup(T.subgroup)
+        rows = tuple(T.act_of(back[a]) for a in image.members)
+        induced.append(FiniteGSet(image, T.size, rows))
+    return SymmetricSequence(m.target, tuple(induced))
 
 
 @dataclass

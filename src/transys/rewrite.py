@@ -741,25 +741,17 @@ class FactorPart:
 
 
 @functools.cache
-def _factor_part(factor: str, group: Group, levels: tuple) -> FactorPart:
-    from .operads import SymmetricSequence
-
-    symbols, action = marked_symbols(group, factor)
-    base = {}
-    for _, orbits in levels:
-        for T in orbits:
-            syms, acts, b = orbit_symbols(T, factor, len(symbols))
-            symbols.extend(syms)
-            action.update(acts)
-            base.update(b)
-    pool = SymbolPool(group, symbols, action)
-    seq = SymmetricSequence(group, dict(levels))
-    return FactorPart(pool, base, WitnessTable(pool, seq, base))
-
-
 def factor_part(seq, factor: str) -> FactorPart:
     """The factor part of a free model, built once per orbit content."""
-    return _factor_part(factor, seq.group, tuple(sorted(seq.levels.items())))
+    symbols, action = marked_symbols(seq.group, factor)
+    base = {}
+    for T in seq.orbits:
+        syms, acts, b = orbit_symbols(T, factor, len(symbols))
+        symbols.extend(syms)
+        action.update(acts)
+        base.update(b)
+    pool = SymbolPool(seq.group, symbols, action)
+    return FactorPart(pool, base, WitnessTable(pool, seq, base))
 
 
 def _pair_parts(S, T) -> tuple[SymbolPool, FactorPart, FactorPart]:
@@ -888,20 +880,19 @@ class WitnessTable:
         lat = lattice_of(symseq.group)
         self.transfer = symseq_transfer(symseq)
         self.witnesses: dict[tuple[int, int], Witness] = {}
-        for n in sorted(symseq.levels):
-            for T in symseq.levels[n]:
-                H = T.subgroup
-                k_id, h_id = T.stabilizer_ids[0], lat.id_of(H)
-                term = App(base[T], tuple(Var(i + 1) for i in range(n)))
-                struct = fixed_structure(pool, term, H)
-                if struct is None:
-                    raise RewriteError(f"generator is not fixed under {H}: "
-                                       f"{format_term(term)}")
-                # sanity: the structure must be the transitive set on H/K
-                if iso_key(struct) != (lat.hclass_rep(h_id, k_id),):
-                    raise RewriteError(
-                        f"witness structure mismatch for pair ({k_id},{h_id})")
-                self.witnesses[(k_id, h_id)] = Witness(term, H, struct)
+        for T in symseq.orbits:
+            H = T.subgroup
+            k_id, h_id = T.stabilizer_ids[0], lat.id_of(H)
+            term = App(base[T], tuple(Var(i + 1) for i in range(T.size)))
+            struct = fixed_structure(pool, term, H)
+            if struct is None:
+                raise RewriteError(f"generator is not fixed under {H}: "
+                                   f"{format_term(term)}")
+            # sanity: the structure must be the transitive set on H/K
+            if iso_key(struct) != (lat.hclass_rep(h_id, k_id),):
+                raise RewriteError(
+                    f"witness structure mismatch for pair ({k_id},{h_id})")
+            self.witnesses[(k_id, h_id)] = Witness(term, H, struct)
         missing = set(self.transfer.pairs()) - set(self.witnesses)
         if missing:
             raise RewriteError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
-from .catalog import group_from_json, group_to_json, json_field
+from .catalog import group_from_json, group_to_json, json_field, json_keys
 from .groups import Group, SubgroupLattice, lattice_of
 
 Rel = tuple[tuple[bool, ...], ...]
@@ -489,6 +489,8 @@ def ts_to_json(t: TransferSystem) -> dict:
 
 def _relation_from_json(data) -> tuple[Group, SubgroupLattice, Rel]:
     G = group_from_json(json_field(data, "group", "transfer system"))
+    # "valid" is what `ts validate` adds, so its output reads back
+    json_keys(data, ("group", "pairs", "valid"), "transfer system")
     lat = lattice_of(G)
     pairs = json_field(data, "pairs", "transfer system", list)
     rel = rel_from_pairs(lat.count, pairs)

@@ -247,6 +247,58 @@ def test_ts_wire_values_of_the_wrong_shape_rejected(payload, message,
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    # each used to be accepted: the groups were echoed back as C4 or K4,
+    # the transfer system as valid with its one pair, the hom applied
+    ({"group": {"kind": "cyclic", "n": 4, "order": 5, "name": 7},
+      "pairs": []},
+     "group of kind 'cyclic' has unknown keys ['name', 'order']"),
+    ({"group": {"kind": "cyclic", "n": 4, "factors": [1]}, "pairs": []},
+     "group of kind 'cyclic' has unknown keys ['factors']"),
+    ({"group": {"kind": "klein_four", "n": 9}, "pairs": []},
+     "group of kind 'klein_four' has unknown keys ['n']"),
+    ({"group": {"kind": "direct_product", "factors": ["C2", "C2"], "n": 4},
+      "pairs": []},
+     "group of kind 'direct_product' has unknown keys ['n']"),
+    ({"group": {"name": "C1", "order": 1, "mul": [[0]], "foo": 1},
+      "pairs": []},
+     "group has unknown keys ['foo']"),
+    ({"group": "C4", "pairs": [[0, 1]], "pair": [[1, 2]]},
+     "transfer system has unknown keys ['pair']"),
+    ({"source": "C2", "target": "C4", "map": [0, 2], "extra": 1},
+     "hom has unknown keys ['extra']"),
+])
+def test_unknown_wire_keys_rejected(payload, message, tmp_path, capsys):
+    argv = ("ts", "validate")
+    if "source" in payload:
+        c2 = tmp_path / "c2.json"
+        c2.write_text(json.dumps({"group": "C2", "pairs": []}))
+        argv = ("functor", "apply", "--kind", "fL", "--input", str(c2),
+                "--hom-file")
+    err = _missing_key(tmp_path, capsys, payload, *argv)
+    assert err.startswith("error: ") and message in err
+
+
+def test_command_output_reads_back(tmp_path, capsys, monkeypatch):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps({"group": "C4", "pairs": [[0, 1]]}))
+    b.write_text(json.dumps({"group": "C4", "pairs": [[1, 2]]}))
+    code, out, _ = run(capsys, "ts", "validate", str(a))
+    assert code == 0 and json.loads(out)["valid"] is True
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, _ = run(capsys, "ts", "join", "-", str(b))
+    assert code == 0 and json.loads(out)["pairs"] == [[0, 1], [0, 2], [1, 2]]
+
+    code, out, _ = run(capsys, "group", "show", "--group", "K4")
+    assert code == 0
+    a.write_text(json.dumps({"group": json.loads(out), "pairs": [[0, 1]]}))
+    code, out, _ = run(capsys, "ts", "validate", str(a))
+    data = json.loads(out)
+    assert code == 0 and data["valid"] is True
+    assert data["group"]["name"] == "K4" and data["pairs"] == [[0, 1]]
+
+
 def test_ts_group_order_equal_to_the_table_size_accepted(tmp_path, capsys):
     path = tmp_path / "order.json"
     path.write_text(json.dumps({"group": {"order": 1, "mul": [[0]]},

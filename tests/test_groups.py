@@ -384,7 +384,7 @@ def test_graph_subgroups_of_isomorphic_hsets_are_conjugate():
             # each graph is subconjugate to the other
             entry = (lattice_of(S3).id_of(H), iso_key(T))
             for orb in (T, T2):
-                level = SymmetricSequence(S3, {T.size: (orb,)})
+                level = SymmetricSequence(S3, (orb,))
                 assert entry in admissible_sets_of_symseq(level).entries
 
 
@@ -417,7 +417,7 @@ def test_subconjugacy_matches_materialized_orbits():
             sets = [T for H in lat.subgroups for T in hsets_up_to_iso(H, n)]
             for T2 in sets:
                 admitted = admissible_sets_of_symseq(
-                    SymmetricSequence(G, {n: (T2,)})).entries
+                    SymmetricSequence(G, (T2,))).entries
                 for T1 in sets:
                     oracle = _materialized_fixed_points(G, T1, T2) > 0
                     entry = (lat.id_of(T1.subgroup), iso_key(T1))

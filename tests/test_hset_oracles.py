@@ -313,10 +313,9 @@ def test_coinduced_operads_match_right_action_criterion(name):
 def test_orbit_symbols_match_seed(name):
     G = group_by_name(name)
     for t in enumerate_transfer_systems(G):
-        for orbs in free_model(t).levels.values():
-            for orb in orbs:
-                assert orbit_symbols(orb, "X", 2) \
-                    == old_orbit_symbols(orb, "X", 2)
+        for orb in free_model(t).orbits:
+            assert orbit_symbols(orb, "X", 2) \
+                == old_orbit_symbols(orb, "X", 2)
 
 
 def old_restrict(T, L):
@@ -346,11 +345,11 @@ def old_admissible_sets_of_symseq(symseq):
     G = symseq.group
     lat = lattice_of(G)
     entries = set()
-    for n in sorted(symseq.levels):
+    for n in sorted({orb.size for orb in symseq.orbits}):
         for H in lat.subgroups:
             for T in hsets_up_to_iso(H, n):
                 if any(old_is_subconjugate(T, orb)
-                       for orb in symseq.levels[n]):
+                       for orb in symseq.orbits if orb.size == n):
                     entries.add((lat.id_of(H), iso_key(T)))
     return frozenset(entries)
 

@@ -190,7 +190,7 @@ def test_admissible_sets_of_symseq():
     regular = coset_hset(full, trivial_subgroup(C2))
     assert cls.entries == {entry(lat, full, regular), (lat.trivial_id, (0, 0))}
     # empty sequence admits nothing
-    empty = SymmetricSequence(C2, {})
+    empty = SymmetricSequence(C2, ())
     assert admissible_sets_of_symseq(empty).entries == frozenset()
 
 
@@ -201,7 +201,7 @@ def test_generated_transfer_of_admissible_class_matches_symseq_route():
             S = free_model(t)
             direct = symseq_transfer(S)
             assert direct.rel == t.rel
-            if not S.levels:
+            if not S.orbits:
                 continue
             via_class = generated_transfer(admissible_sets_of_symseq(S))
             assert via_class.rel == t.rel

@@ -36,10 +36,9 @@ def old_admits(t, H, T):
 def old_symseq_transfer(S):
     lat = lattice_of(S.group)
     pairs = set()
-    for orbits in S.levels.values():
-        for T in orbits:
-            h_id = lat.id_of(T.subgroup)
-            pairs.update((k_id, h_id) for k_id in T.stabilizer_ids)
+    for T in S.orbits:
+        h_id = lat.id_of(T.subgroup)
+        pairs.update((k_id, h_id) for k_id in T.stabilizer_ids)
     return generate_pairs(lat, pairs)
 
 

@@ -4,6 +4,7 @@ induction."""
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -51,10 +52,10 @@ from transys.transfer import (
 
 def test_free_model_shape():
     C2 = group_by_name("C2")
-    assert free_model(discrete(C2)).levels == {}
+    assert free_model(discrete(C2)).orbits == ()
     top = complete(C2)
     S = free_model(top)
-    assert set(S.levels) == {2} and len(S.levels[2]) == 1
+    assert [T.size for T in S.orbits] == [2]
     assert symseq_transfer(free_model(discrete(C2))).pairs() == []
 
 
@@ -103,6 +104,27 @@ def test_coind_criterion_examples():
     assert op.transfer().pairs() == [(1, 2)]
 
 
+def test_orbits_sorted_stably_by_size():
+    # symbol ids and witness terms number the orbits in this order
+    D4 = group_by_name("D4")
+    t = complete(D4)
+    lat = t.lattice
+    S = free_model(t)
+    sizes = [T.size for T in S.orbits]
+    assert sizes == sorted(sizes) and set(sizes) == {2, 4, 8}
+    pairs = [(T.stabilizer_ids[0], lat.id_of(T.subgroup)) for T in S.orbits]
+    for n in set(sizes):
+        assert [p for p, m in zip(pairs, sizes) if m == n] == [
+            (k, h) for k, h in t.pairs()
+            if lat.subgroups[h].order == n * lat.subgroups[k].order]
+    R = free_model(enumerate_transfer_systems(D4)[42])
+    union = S.union(R).orbits
+    assert [T.size for T in union] == sorted(T.size for T in union)
+    for n in set(sizes):
+        assert [T for T in union if T.size == n] == [
+            T for T in S.orbits + R.orbits if T.size == n]
+
+
 def test_coind_criterion_matches_materialized_levels():
     C4 = group_by_name("C4")
     lat = lattice_of(C4)
@@ -120,7 +142,7 @@ def test_coind_materialization_guard():
     C4 = group_by_name("C4")
     full = full_subgroup(C4)
     trivial9 = hset_of_orbits(full, (full,) * 9)
-    big = SymmetricSequence(C4, {9: (trivial9,)})
+    big = SymmetricSequence(C4, (trivial9,))
     with pytest.raises(MaterializationError, match="needs 1451520 elements"):
         double_coset_check(catalog_hom("id_C4"), big)
     # the coinduced operad decides that arity by its criterion alone
@@ -155,8 +177,8 @@ def test_restrict_identity():
     S = free_model(t)
     back = restrict_symseq_predicted(f, S)
     assert symseq_transfer(back).rel == t.rel
-    assert {n: len(v) for n, v in back.levels.items()} \
-        == {n: len(v) for n, v in S.levels.items()}
+    assert Counter(T.size for T in back.orbits) \
+        == Counter(T.size for T in S.orbits)
 
 
 def test_restrict_to_trivial_group_counts_free_orbits():
@@ -166,11 +188,12 @@ def test_restrict_to_trivial_group_counts_free_orbits():
     t = enumerate_transfer_systems(C4)[-1]
     S = free_model(t)
     restricted = restrict_symseq_predicted(sub0, S)
-    for n, orbits in S.levels.items():
-        expected = sum(C4.order // orb.subgroup.order for orb in orbits)
-        assert len(restricted.levels[n]) == expected
-        for orb in restricted.levels[n]:
-            assert orb.subgroup.order == 1  # free Sigma-orbits
+    for n in {T.size for T in S.orbits}:
+        expected = sum(C4.order // orb.subgroup.order
+                       for orb in S.orbits if orb.size == n)
+        assert sum(orb.size == n for orb in restricted.orbits) == expected
+    for orb in restricted.orbits:
+        assert orb.subgroup.order == 1  # free Sigma-orbits
 
 
 def test_theoremB_res():
@@ -190,16 +213,17 @@ def test_induce_symseq():
     t = enumerate_transfer_systems(C2)[-1]
     S = free_model(t)
     ind = induce_symseq(m, S)
-    assert set(ind.levels) == {2} and len(ind.levels[2]) == 1
-    orb = ind.levels[2][0]
+    assert [T.size for T in ind.orbits] == [2]
+    orb = ind.orbits[0]
     assert orb.subgroup.members == (0, 2)
     # index formula: induced orbits grow by |G'|/|G|
-    for n, orbits in S.levels.items():
-        for a, b in zip(orbits, ind.levels[n]):
-            size_src = m.source.order * math.factorial(n) // a.subgroup.order
-            size_tgt = m.target.order * math.factorial(n) // b.subgroup.order
-            assert size_tgt * m.source.order == size_src * m.target.order \
-                or size_tgt == size_src * (m.target.order // m.source.order)
+    for a, b in zip(S.orbits, ind.orbits):
+        n = a.size
+        assert b.size == n
+        size_src = m.source.order * math.factorial(n) // a.subgroup.order
+        size_tgt = m.target.order * math.factorial(n) // b.subgroup.order
+        assert size_tgt * m.source.order == size_src * m.target.order \
+            or size_tgt == size_src * (m.target.order // m.source.order)
 
 
 def test_theoremB_ind():
@@ -305,9 +329,8 @@ def test_direct_pullback_matches_seed_bfs():
     for name in ("C4_to_S3", "C2_into_C4", "C4_onto_C2"):
         f = catalog_hom(name)
         for t in enumerate_transfer_systems(f.target):
-            for level in free_model(t).levels.values():
-                for orb in level:
-                    assert (_direct_pullback_labels(f, orb)
-                            == seed_direct_pullback_labels(f, orb))
-                    orbits += 1
+            for orb in free_model(t).orbits:
+                assert (_direct_pullback_labels(f, orb)
+                        == seed_direct_pullback_labels(f, orb))
+                orbits += 1
     assert orbits > 0

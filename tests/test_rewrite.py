@@ -606,12 +606,9 @@ def _c4_sequence(*orbits):
     """One C4 orbit per (H, parts) entry, acting on H/K1 + H/K2 + ..."""
     C4 = group_by_name("C4")
     lat = lattice_of(C4)
-    levels = {}
-    for h_id, parts in orbits:
-        H = lat.subgroups[h_id]
-        T = hset_of_orbits(H, [lat.subgroups[k] for k in parts])
-        levels.setdefault(T.size, []).append(T)
-    return SymmetricSequence(C4, levels)
+    return SymmetricSequence(C4, tuple(
+        hset_of_orbits(lat.subgroups[h_id], [lat.subgroups[k] for k in parts])
+        for h_id, parts in orbits))
 
 
 def test_witness_factory_rejects_non_free_sequences():

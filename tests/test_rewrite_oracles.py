@@ -172,13 +172,12 @@ class SeedWitnessTable:
         self.witnesses = {}
         for i in range(self.lat.count):
             self._insert(i, i, Var(1))
-        for n in sorted(symseq.levels):
-            for orb in symseq.levels[n]:
-                t0 = App(base[orb], tuple(Var(i + 1) for i in range(n)))
-                w0 = self._checked(self.lat.id_of(orb.subgroup), t0)
-                for orbit, k_id in zip(orb.orbits(), orb.stabilizer_ids):
-                    plugged = seed_plug_orbit(w0, orbit, self.filler)
-                    self._insert(k_id, self.lat.id_of(orb.subgroup), plugged)
+        for orb in symseq.orbits:
+            t0 = App(base[orb], tuple(Var(i + 1) for i in range(orb.size)))
+            w0 = self._checked(self.lat.id_of(orb.subgroup), t0)
+            for orbit, k_id in zip(orb.orbits(), orb.stabilizer_ids):
+                plugged = seed_plug_orbit(w0, orbit, self.filler)
+                self._insert(k_id, self.lat.id_of(orb.subgroup), plugged)
         self.generated = len(self.witnesses)
         self._saturate()
         missing = set(self.transfer.pairs()) - set(self.witnesses)
@@ -253,13 +252,12 @@ def seed_pool_from_free_models(S, T):
         symbols.extend(marked)
         action.update(marked_action)
         next_id = 2
-        for n in sorted(seq.levels):
-            for orb in seq.levels[n]:
-                syms, acts, b = orbit_symbols(orb, factor, next_id)
-                next_id += len(syms)
-                symbols.extend(syms)
-                action.update(acts)
-                base.update(b)
+        for orb in seq.orbits:
+            syms, acts, b = orbit_symbols(orb, factor, next_id)
+            next_id += len(syms)
+            symbols.extend(syms)
+            action.update(acts)
+            base.update(b)
     z = next(s for s in symbols if s.factor == "Y" and s.arity == 0)
     pool = SymbolPool(G, symbols, action, z=z)
     return pool, base_x, base_y
@@ -762,9 +760,9 @@ def test_exhibits_matches_validated_structure(name):
 
 @pytest.fixture
 def fresh_parts():
-    rewrite._factor_part.cache_clear()
-    yield rewrite._factor_part
-    rewrite._factor_part.cache_clear()
+    rewrite.factor_part.cache_clear()
+    yield rewrite.factor_part
+    rewrite.factor_part.cache_clear()
 
 
 def test_broken_action_row_in_one_factor_is_rejected(fresh_parts, monkeypatch):
