@@ -150,8 +150,10 @@ def cmd_functor(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("command", "run", "suite")}
     try:
-        report = suites.run_suite(**vars(args))
+        report = suites.run_suite(args.suite, **options)
     except BudgetExceededError as err:
         _emit({"suite": args.suite, "outcome": "budget-exceeded",
                "detail": str(err)})

@@ -269,24 +269,29 @@ def full_subgroup(G: Group) -> Subgroup:
     return Subgroup(G, tuple(G.elements()))
 
 
+def reach(start, step) -> list:
+    """The points reachable from ``start``, in breadth-first discovery
+    order; ``step(p)`` gives the points one step from p."""
+    found = [start]
+    seen = {start}
+    for p in found:  # the list grows while it is read: a queue
+        for q in step(p):
+            if q not in seen:
+                seen.add(q)
+                found.append(q)
+    return found
+
+
+def _span(G: Group, gens: Sequence[int]) -> tuple[int, ...]:
+    """Sorted members of the subgroup that gens generate: the walk from 0
+    under right multiplication by gens.  In a finite group the products
+    of the generators already include every inverse."""
+    mul = G.mul
+    return tuple(sorted(reach(0, lambda a: [mul[a][g] for g in gens])))
+
+
 def generated_subgroup(G: Group, gens: Iterable[int]) -> Subgroup:
-    members = {0}
-    frontier = [0]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = G.mul[a][g]
-                if b not in members:
-                    members.add(b)
-                    nxt.append(b)
-                b = G.mul[a][G.inv[g]]
-                if b not in members:
-                    members.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return Subgroup(G, tuple(members))
+    return Subgroup(G, _span(G, tuple(gens)))
 
 
 def generators(G: Group) -> tuple[int, ...]:
@@ -305,24 +310,14 @@ def all_subgroups(G: Group) -> tuple[Subgroup, ...]:
     """Every subgroup exactly once, ordered by (size, member tuple).
 
     The position in this tuple is the stable subgroup id used by the
-    transfer-system machinery.
+    transfer-system machinery.  The walk runs over sorted member tuples,
+    a step adding one element and taking the span; only the subgroups
+    found become validated Subgroups.
     """
-    seen = {(0,)}
-    frontier = [(0,)]
-    while frontier:
-        nxt = []
-        for members in frontier:
-            mem = set(members)
-            for x in G.elements():
-                if x in mem:
-                    continue
-                bigger = generated_subgroup(G, list(members) + [x]).members
-                if bigger not in seen:
-                    seen.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    ordered = sorted(seen, key=lambda m: (len(m), m))
-    return tuple(Subgroup(G, m) for m in ordered)
+    found = reach((0,), lambda m: [_span(G, m + (x,))
+                                   for x in G.elements() if x not in m])
+    return tuple(Subgroup(G, m)
+                 for m in sorted(found, key=lambda m: (len(m), m)))
 
 
 class SubgroupLattice:
@@ -532,25 +527,15 @@ class FiniteGSet:
         return self.act[self.subgroup.position[g]]
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.size
+        """The orbits, each sorted, ordered by least point.  ``act`` holds
+        a row for every member of H, so x's orbit is its column."""
+        seen: set[int] = set()
         out = []
         for x in range(self.size):
-            if seen[x]:
-                continue
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for row in self.act:
-                        z = row[y]
-                        if z not in orbit:
-                            orbit.add(z)
-                            nxt.append(z)
-                frontier = nxt
-            for y in orbit:
-                seen[y] = True
-            out.append(tuple(sorted(orbit)))
+            if x not in seen:
+                orbit = tuple(sorted({row[x] for row in self.act}))
+                seen.update(orbit)
+                out.append(orbit)
         return tuple(out)
 
     def conjugate(self, g: int) -> "FiniteGSet":

@@ -31,6 +31,7 @@ from .groups import (
     identity_perm,
     invert,
     lattice_of,
+    reach,
     trivial_subgroup,
 )
 from .transfer import TransferSystem, discrete, generate_columns, meet
@@ -228,30 +229,24 @@ def _direct_pullback_labels(f: Homomorphism, T: FiniteGSet) -> list:
                     number[(Gp.mul[a][h], compose(pi, sigma[h]))] = len(points)
                 points.append((a, pi))
 
-    gens = [(g, identity_perm(n)) for g in generators(G)]
+    # each generator of G x Sigma_n as (row of f(g) in G', permutation)
+    gens = [(Gp.mul[f.map[g]], identity_perm(n)) for g in generators(G)]
     if n > 1:
         swap = list(range(n))
         swap[0], swap[1] = swap[1], swap[0]
         cycle = tuple(list(range(1, n)) + [0])
-        gens += [(0, tuple(swap)), (0, cycle)]
+        gens += [(Gp.mul[0], tuple(swap)), (Gp.mul[0], cycle)]
 
-    seen = [False] * len(points)
+    def step(p: int) -> list[int]:
+        a, pi = points[p]
+        return [number[(row[a], compose(s, pi))] for row, s in gens]
+
+    seen: set[int] = set()
     labels = []
     for start in range(len(points)):
-        if seen[start]:
+        if start in seen:
             continue
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            nxt = []
-            for p in frontier:
-                a, pi = points[p]
-                for g, s in gens:
-                    q = number[(Gp.mul[f.map[g]][a], compose(s, pi))]
-                    if not seen[q]:
-                        seen[q] = True
-                        nxt.append(q)
-            frontier = nxt
+        seen.update(reach(start, step))
         a, pi = points[start]
         ainv = Gp.inv[a]
         members = []

@@ -249,10 +249,16 @@ SUITES = {
 
 
 def run_suite(suite: str, **options) -> SuiteReport:
-    """Run `suite` on those `options` its function names; the others are
-    ignored, so a caller may pass every `verify` option it has."""
+    """Run `suite` on `options`.  A `seed` or `budget` its function does
+    not name is dropped, since every report echoes the seed and `verify`
+    always passes a budget; any other option it does not name is an
+    error, not a silent run of the defaults."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {tuple(SUITES)}")
     run = SUITES[suite]
     names = inspect.signature(run).parameters
+    extra = [f"--{k}" for k in options
+             if k not in names and k not in ("seed", "budget")]
+    if extra:
+        raise ValueError(f"verify {suite} takes no {', '.join(extra)}")
     return run(**{k: v for k, v in options.items() if k in names})

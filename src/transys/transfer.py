@@ -279,8 +279,7 @@ def _core(lat: SubgroupLattice) -> _Core:
 
 def generate(lat: SubgroupLattice, rel: Rel) -> TransferSystem:
     """Least transfer system containing a relation that refines inclusion."""
-    core = _core(lat)
-    return core.system(core.close(_mask_of_pairs(lat, rel_pairs(rel))))
+    return generate_pairs(lat, rel_pairs(rel))
 
 
 def generate_pairs(lat: SubgroupLattice,

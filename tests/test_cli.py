@@ -495,6 +495,27 @@ def test_verify_rewrite_criteria_bad_numbers_rejected(option, value, message,
     assert code == 1 and out == "" and message in err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("galois", "--group", "D4"), "verify galois takes no --group"),
+    (("thmA-meet", "--hom", "C2_into_C4"), "verify thmA-meet takes no --hom"),
+    (("thmA-join", "--mode", "coproduct", "--count", "3"),
+     "verify thmA-join takes no --mode, --count"),
+    (("functoriality", "--window", "6"),
+     "verify functoriality takes no --window"),
+    (("rewrite-criteria", "--group", "C4"),
+     "verify rewrite-criteria takes no --group"),
+    (("noninj-ind", "--seed", "5", "--budget", "9"), None),
+])
+def test_verify_options_the_suite_does_not_take(argv, error, capsys):
+    # each rejected call used to exit 0 on the suite's defaults; --seed and
+    # --budget are taken by every suite
+    code, out, err = run(capsys, "verify", *argv)
+    if error is None:
+        assert code == 0 and err == "" and json.loads(out)["seed"] == 5
+    else:
+        assert code == 1 and out == "" and err == f"error: {error}\n"
+
+
 def test_verify_budget_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "galois", "--hom", "C2_into_C8",
                        "--budget", "2")

@@ -161,11 +161,105 @@ def _subgroups_by_subset_filter(G):
     ("K4", lambda: make_group("klein_four")),
     ("S3", lambda: symmetric_group(3)),
     ("D4", lambda: dihedral_group(4)),
+    ("C12", lambda: cyclic_group(12)),
+    ("D6", lambda: dihedral_group(6)),
+    ("C2xC6", lambda: group_by_name("C2xC6")),
 ])
 def test_all_subgroups_against_subset_filter(name, builder):
     G = builder()
     got = [s.members for s in all_subgroups(G)]
     assert got == _subgroups_by_subset_filter(G)
+
+
+def frontier_generated_subgroup(G, gens):
+    """Seed oracle: the span of gens, walked level by level under right
+    multiplication by each generator and by its inverse."""
+    members = {0}
+    frontier = [0]
+    gens = list(gens)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                for b in (G.mul[a][g], G.mul[a][G.inv[g]]):
+                    if b not in members:
+                        members.add(b)
+                        nxt.append(b)
+        frontier = nxt
+    return Subgroup(G, tuple(members))
+
+
+def frontier_all_subgroups(G):
+    """Seed oracle: every span of a subgroup and one more element, level by
+    level, each intermediate span a validated Subgroup."""
+    seen = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        nxt = []
+        for members in frontier:
+            for x in G.elements():
+                if x in members:
+                    continue
+                bigger = frontier_generated_subgroup(
+                    G, list(members) + [x]).members
+                if bigger not in seen:
+                    seen.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    ordered = sorted(seen, key=lambda m: (len(m), m))
+    return tuple(Subgroup(G, m) for m in ordered)
+
+
+def frontier_orbits(T):
+    """Seed oracle: each orbit walked breadth-first from its least point."""
+    seen = [False] * T.size
+    out = []
+    for x in range(T.size):
+        if seen[x]:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for row in T.act:
+                    if row[y] not in orbit:
+                        orbit.add(row[y])
+                        nxt.append(row[y])
+            frontier = nxt
+        for y in orbit:
+            seen[y] = True
+        out.append(tuple(sorted(orbit)))
+    return tuple(out)
+
+
+#: the perfbench reach ladder, then C2^4, D12, C9, C18 and C3xC3
+REACH_ORACLE_GROUPS = ["C8", "C16", "C12", "C2xC4", "D4", "C24", "C2xC6",
+                       "D6", "C2xC8", "S4", "C2xC2xC2", "C2xC2xC2xC2", "D12",
+                       "C9", "C18", "C3xC3"]
+
+
+@pytest.mark.parametrize("name", REACH_ORACLE_GROUPS)
+def test_reach_walks_match_frontier_oracles(name, monkeypatch):
+    """Subgroup list, lattice tables, generators and H-set orbits built on
+    `reach` equal those of the seed's level-by-level loops."""
+    import transys.groups as groups
+
+    G = group_by_name(name)
+    lat = groups.SubgroupLattice(G)
+    gens = generators(G)
+    monkeypatch.setattr(groups, "all_subgroups", frontier_all_subgroups)
+    monkeypatch.setattr(groups, "generated_subgroup",
+                        frontier_generated_subgroup)
+    old = groups.SubgroupLattice(G)
+    assert lat.subgroups == old.subgroups
+    assert (lat.leq, lat.meet_table, lat.conj_table) == (
+        old.leq, old.meet_table, old.conj_table)
+    assert gens == generators(G)
+    for H in lat.subgroups:
+        for n in range(5):
+            for T in hsets_up_to_iso(H, n):
+                assert T.orbits() == frontier_orbits(T)
 
 
 def test_subgroup_counts():
