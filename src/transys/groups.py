@@ -312,10 +312,20 @@ def all_subgroups(G: Group) -> tuple[Subgroup, ...]:
     The position in this tuple is the stable subgroup id used by the
     transfer-system machinery.  The walk runs over sorted member tuples,
     a step adding one element and taking the span; only the subgroups
-    found become validated Subgroups.
+    found become validated Subgroups.  As x and xk (k in m) span the same
+    subgroup with m, a step spans one x per left coset of m.
     """
-    found = reach((0,), lambda m: [_span(G, m + (x,))
-                                   for x in G.elements() if x not in m])
+    mul = G.mul
+
+    def step(m: tuple[int, ...]) -> list[tuple[int, ...]]:
+        spans, covered = [], set(m)
+        for x in G.elements():
+            if x not in covered:
+                spans.append(_span(G, m + (x,)))
+                covered.update([mul[x][k] for k in m])
+        return spans
+
+    found = reach((0,), step)
     return tuple(Subgroup(G, m)
                  for m in sorted(found, key=lambda m: (len(m), m)))
 
@@ -340,9 +350,12 @@ class SubgroupLattice:
                   for j in range(self.count))
             for i in range(self.count)
         )
+        # conjugates of subgroups are subgroups: look up their members
+        # rather than validating each one as a Subgroup
         self.conj_table = tuple(
-            tuple(self.index[self.subgroups[i].conjugate(g).members]
-                  for i in range(self.count))
+            tuple(self.index[tuple(sorted([group.conj(g, a)
+                                           for a in s.members]))]
+                  for s in self.subgroups)
             for g in group.elements()
         )
         self.trivial_id = self.index[(0,)]

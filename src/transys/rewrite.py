@@ -17,11 +17,13 @@ the redexes of a term; its first hit is the leftmost-innermost redex.  One
 normalizer gives every leftmost-innermost normal form: it normalizes the
 children of a node, then contracts at the node and normalizes the reduct in
 place, the steps of contracting the walk's first hit over and over.
-Untraced, it memoizes normal forms by node identity, so the one-step reducts
-of a term are normalized along their redex paths only.  As the systems
-terminate, local confluence is checked by comparing the normal forms of two
-reducts (Newman's lemma); confluence, equivariance and congruence with
-composition are checked on fuzzed terms rather than assumed.
+Untraced, it memoizes normal forms by term value, so the one-step reducts
+of a term are normalized along their redex paths only, and a subterm equal
+to one already normalized is not reduced again, whichever node holds it.
+As the systems terminate, local confluence is checked by comparing the
+normal forms of two reducts (Newman's lemma); confluence, equivariance and
+congruence with composition are checked on fuzzed terms rather than
+assumed.
 """
 
 from __future__ import annotations
@@ -385,7 +387,7 @@ def one_step_reducts(pool: SymbolPool, t: Term, mode: RewriteMode
 
 
 def _measurer(pool: SymbolPool, mode: RewriteMode):
-    """The complexity of terms at any depth, memoized by node identity.
+    """The complexity of terms at any depth, memoized by term value.
 
     Both measures are sums over the nodes of a value that depends only on
     the node and its depth d: 1 per symbol in coproduct mode; in tensor
@@ -393,30 +395,30 @@ def _measurer(pool: SymbolPool, mode: RewriteMode):
     Y-symbol.  So a term standing at depth d weighs a + d*b, where a is
     its complexity and b the total arity of its Y-symbols (0 in coproduct
     mode), and contracting a subterm at depth d changes the complexity of
-    the whole term by exactly the change of a + d*b.  The memo holds each
-    key node, so no id is reused while it lives; a node reads its
-    memoized children from it in place.
+    the whole term by exactly the change of a + d*b.  Terms hash and
+    compare by value in C, so equal terms built apart share one entry; a
+    node reads its memoized children from the memo in place.
     """
     tensor = mode.kind == "tensor"
     z = pool.z
-    memo: dict[int, tuple[Term, int, int]] = {}
+    memo: dict[Term, tuple[int, int]] = {}
 
     def measure(s: Term) -> tuple[int, int]:
         if type(s) is Var:
             return 0, 0
-        hit = memo.get(id(s))
+        hit = memo.get(s)
         if hit is not None:
-            return hit[1], hit[2]
+            return hit
         sym, kids = s
         a = b = 0
         for c in kids:
             if type(c) is not Var:
-                _, ca, cb = memo.get(id(c)) or (c, *measure(c))
+                ca, cb = memo.get(c) or measure(c)
                 a += ca + cb
                 b += cb
         a += sym is not z if tensor else 1
         b += sym.arity if tensor and sym.factor == "Y" else 0
-        memo[id(s)] = (s, a, b)
+        memo[s] = a, b
         return a, b
 
     return measure
@@ -443,18 +445,19 @@ def _normalizer(pool: SymbolPool, mode: RewriteMode,
     these are the steps of contracting the first hit of the post-order
     walk again and again, without restarting the walk from the root.
 
-    The memo maps id(node) to (node, normal form), holding each key node
-    so that no id is reused while it lives.  Without a trace it keeps
-    every node it normalizes, so a one-step reduct, which shares every
-    subtree off its redex path with its term, is normalized along that
-    path only.  With a trace it keeps only normal nodes, so a subterm
-    object at two positions records its steps at each, and every step is
-    appended as a Step on the whole term.  Each contraction must lower
-    the complexity of the whole term, and t gets complexity(t) steps.
+    The memo maps each term, by value, to its normal form.  Without a
+    trace it keeps every term it normalizes, so a one-step reduct, whose
+    subtrees off its redex path equal its term's, is normalized along
+    that path only, and so is a copy of a normalized term built afresh
+    by the group action or by composition.  With a trace it keeps only
+    normal terms, so a reducible subterm at two positions records its
+    steps at each, and every step is appended as a Step on the whole
+    term.  Each contraction must lower the complexity of the whole term,
+    and t gets complexity(t) steps.
     """
     local = _local_rules(pool, mode)
     measure = _measurer(pool, mode)
-    memo: dict[int, tuple[Term, Term]] = {}
+    memo: dict[Term, Term] = {}
     path: list[int] = []
     whole: Optional[Term] = None  # the whole term, for the trace
     left = 0  # steps left in the budget
@@ -463,9 +466,9 @@ def _normalizer(pool: SymbolPool, mode: RewriteMode,
         nonlocal whole, left
         if type(s) is Var:
             return s
-        hit = memo.get(id(s))
+        hit = memo.get(s)
         if hit is not None:
-            return hit[1]
+            return hit
         start = node = s
         while True:
             sym, kids = node
@@ -481,7 +484,7 @@ def _normalizer(pool: SymbolPool, mode: RewriteMode,
                     node = App(sym, tuple(new))
             hit = next(iter(local(pool, node)), None)
             if hit is None:
-                memo[id(node)] = (node, node)
+                memo[node] = node
                 break
             reduct, rule = hit
             if _drop(measure, node, reduct, depth) <= 0:
@@ -498,16 +501,19 @@ def _normalizer(pool: SymbolPool, mode: RewriteMode,
             node = reduct
             if type(node) is Var:
                 break
-            hit = memo.get(id(node))
+            hit = memo.get(node)
             if hit is not None:
-                node = hit[1]
+                node = hit
                 break
         if trace is None:
-            memo[id(start)] = (start, node)
+            memo[start] = node
         return node
 
     def normal_form(t: Term) -> Term:
         nonlocal whole, left
+        hit = memo.get(t)
+        if hit is not None:
+            return hit
         whole, left = t, measure(t)[0]
         return norm(t, 0)
 
@@ -639,14 +645,16 @@ def check_criteria(pool: SymbolPool, mode: RewriteMode, count: int = 200,
 
     for _ in range(count):
         t = fuzz_term(pool, rng, max_symbols, symbols)
-        # the fuzzed terms share no node, so a memo per term loses no
-        # work, and memory does not grow with count
+        # one memo per fuzzed term: its reducts, moved copy and composites
+        # share its normal forms by value, and memory does not grow with
+        # count
         normal = _normalizer(pool, mode)
         reducts = one_step_reducts(pool, t, mode)
+        forms = [normal(r) for r, _, _ in reducts]
         for a in range(len(reducts)):
             for b in range(a + 1, len(reducts)):
                 left, right = reducts[a][0], reducts[b][0]
-                record(joins, normal(left) == normal(right), lambda: {
+                record(joins, forms[a] == forms[b], lambda: {
                     "term": format_term(t), "left": format_term(left),
                     "right": format_term(right)})
         n = term_arity(t)

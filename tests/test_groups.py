@@ -242,7 +242,8 @@ REACH_ORACLE_GROUPS = ["C8", "C16", "C12", "C2xC4", "D4", "C24", "C2xC6",
 @pytest.mark.parametrize("name", REACH_ORACLE_GROUPS)
 def test_reach_walks_match_frontier_oracles(name, monkeypatch):
     """Subgroup list, lattice tables, generators and H-set orbits built on
-    `reach` equal those of the seed's level-by-level loops."""
+    `reach` equal those of the seed's level-by-level loops, which span
+    every element outside each subgroup, not one per left coset."""
     import transys.groups as groups
 
     G = group_by_name(name)
@@ -255,6 +256,10 @@ def test_reach_walks_match_frontier_oracles(name, monkeypatch):
     assert lat.subgroups == old.subgroups
     assert (lat.leq, lat.meet_table, lat.conj_table) == (
         old.leq, old.meet_table, old.conj_table)
+    # conjugates through validated Subgroups, as the seed looked them up
+    assert lat.conj_table == tuple(
+        tuple(lat.id_of(s.conjugate(g)) for s in lat.subgroups)
+        for g in G.elements())
     assert gens == generators(G)
     for H in lat.subgroups:
         for n in range(5):

@@ -11,7 +11,9 @@ every step and weighed the whole term after every step
 (`restart_reduce_term`, random strategy included), `check_criteria` with
 normal forms cached by structure on top of it, and join witnesses
 verified by building a `FiniteGSet` for the normal form are kept as
-oracles too (`restart_check_criteria`, `restart_witness`).  So are the
+oracles too (`restart_check_criteria`, `restart_witness`), and so is the
+normalizer whose memo was keyed on node identity (`identity_normalizer`),
+against the one keyed on term value.  So are the
 local rules, `act_g` and `fixed_perm` that read the `g_action` and
 `compose_table` dicts a pool is built from (`dict_local_coproduct`,
 `dict_local_tensor`, `dict_act_g`, `dict_fixed_perm`), against the action
@@ -45,9 +47,12 @@ from transys.rewrite import (
     WitnessFactory,
     WitnessTable,
     _compose_witnesses,
+    _drop,
     _exhibits,
     _local_coproduct,
+    _local_rules,
     _local_tensor,
+    _measurer,
     _normalizer,
     act_g,
     act_sigma,
@@ -67,6 +72,7 @@ from transys.rewrite import (
     random_perm,
     reduce_term,
     replace_at,
+    substitute,
     symbol_count,
     term_arity,
 )
@@ -412,6 +418,72 @@ def restart_witness(factory, k_id, h_id, mode):
                                 witness.structure, nf, mode.kind, verified)
 
 
+def identity_normalizer(pool, mode, trace=None):
+    """`_normalizer` with its memo keyed on id(node), holding each key node
+    so that no id is reused while it lives: only the very objects it has
+    normalized are not reduced again."""
+    local = _local_rules(pool, mode)
+    measure = _measurer(pool, mode)
+    memo = {}
+    path = []
+    whole = None
+    left = 0
+
+    def norm(s, depth):
+        nonlocal whole, left
+        if type(s) is Var:
+            return s
+        hit = memo.get(id(s))
+        if hit is not None:
+            return hit[1]
+        start = node = s
+        while True:
+            sym, kids = node
+            if kids:
+                new, changed = list(kids), False
+                for i, c in enumerate(kids):
+                    if type(c) is not Var:
+                        path.append(i)
+                        new[i] = norm(c, depth + 1)
+                        path.pop()
+                        changed = changed or new[i] is not c
+                if changed:
+                    node = App(sym, tuple(new))
+            hit = next(iter(local(pool, node)), None)
+            if hit is None:
+                memo[id(node)] = (node, node)
+                break
+            reduct, rule = hit
+            if _drop(measure, node, reduct, depth) <= 0:
+                raise RewriteError(f"rule {rule} failed to decrease "
+                                   f"complexity at {tuple(path)}")
+            if left <= 0:
+                raise RewriteError("step budget exceeded; descent is broken")
+            left -= 1
+            if trace is not None:
+                at = tuple(path)
+                after = replace_at(whole, at, reduct)
+                trace.append(Step(rule, at, whole, after))
+                whole = after
+            node = reduct
+            if type(node) is Var:
+                break
+            hit = memo.get(id(node))
+            if hit is not None:
+                node = hit[1]
+                break
+        if trace is None:
+            memo[id(start)] = (start, node)
+        return node
+
+    def normal_form(t):
+        nonlocal whole, left
+        whole, left = t, measure(t)[0]
+        return norm(t, 0)
+
+    return normal_form
+
+
 # ---------------------------------------------------------------------------
 # seeded term streams
 
@@ -583,19 +655,90 @@ def test_check_criteria_counterexamples_match_restarting_normalizer():
     assert failed
 
 
-@pytest.mark.parametrize("label", sorted(CONFIGS))
-def test_shared_subterm_records_its_steps_at_each_position(label):
-    """One reducible App object at two positions: the traced normalizer
-    memoizes only normal nodes, so it takes the steps at both."""
+def _twin_subterms(label, fresh):
+    """A term p(s, s) whose two children are one reducible App object, or
+    with fresh=True two equal but distinct ones."""
     pool, mode, _, _ = CONFIGS[label]()
     p = next(s for s in pool.symbols if s.factor == "X" and s.arity == 2)
     u = next(s for s in pool.symbols if s.factor == "X" and s.arity == 0)
     shared = App(p, (App(u, ()), App(u, ())))
-    t = App(p, (shared, shared))
+    twin = substitute(shared, Var) if fresh else shared
+    assert twin == shared and (twin is not shared) == fresh
+    return pool, mode, App(p, (shared, twin))
+
+
+def _assert_steps_at_both_positions(pool, mode, t):
     nf, trace = reduce_term(pool, t, mode)
     assert (nf, trace) == seed_reduce_term(pool, t, mode)
     assert {step.path[0] for step in trace if step.path} == {0, 1}
     assert _normalizer(pool, mode)(t) == nf
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_shared_subterm_records_its_steps_at_each_position(label):
+    """One reducible App object at two positions: the traced normalizer
+    memoizes only normal nodes, so it takes the steps at both."""
+    _assert_steps_at_both_positions(*_twin_subterms(label, fresh=False))
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_equal_subterms_record_their_steps_at_each_position(label):
+    """Two equal but distinct reducible objects: the memo is keyed by
+    value, yet the trace still takes the steps at both positions."""
+    _assert_steps_at_both_positions(*_twin_subterms(label, fresh=True))
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_equal_copy_of_a_normalized_term_is_not_reduced_again(label,
+                                                              monkeypatch):
+    """A copy of a normalized term made of fresh nodes hits the memo: no
+    local rule is called on any of its nodes."""
+    pool, mode, terms = _terms(label)
+    seen = []
+    name = "_local_coproduct" if label == "coproduct" else "_local_tensor"
+    rules = getattr(rewrite, name)
+    monkeypatch.setattr(rewrite, name,
+                        lambda pool, s: seen.append(s) or rules(pool, s))
+    copies = 0
+    for t in terms:
+        normal = _normalizer(pool, mode)
+        done = [t] + [r for r, _, _ in one_step_reducts(pool, t, mode)]
+        forms = [normal(s) for s in done]
+        seen.clear()
+        for s, nf in zip(done, forms):
+            copy_of_s = substitute(s, Var)
+            copies += copy_of_s is not s
+            assert normal(copy_of_s) == nf
+        assert seen == []
+    assert copies > 500
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_value_memo_matches_identity_memo(label):
+    """Normal forms of each term's reducts, the term, a moved copy and a
+    composite holding a fresh copy, one memo per term as `check_criteria`
+    keeps it, and the traces of `reduce_term`, against the memo keyed on
+    node identity."""
+    pool, mode, terms = _terms(label)
+    rng = random.Random(1)
+    steps = 0
+    for t in terms:
+        n = term_arity(t)
+        g = rng.randrange(pool.group.order)
+        moved = act_g(pool, g, act_sigma(t, random_perm(rng, n)))
+        composite = gamma(t, [substitute(t, Var) if i == 0 else Var(1)
+                              for i in range(n)])
+        normal, oracle = _normalizer(pool, mode), identity_normalizer(pool, mode)
+        for s in ([r for r, _, _ in one_step_reducts(pool, t, mode)]
+                  + [t, moved, composite]):
+            assert normal(s) == oracle(s)
+        for s in (t, composite):
+            trace, oracle_trace = [], []
+            assert (_normalizer(pool, mode, trace)(s)
+                    == identity_normalizer(pool, mode, oracle_trace)(s))
+            assert trace == oracle_trace
+            steps += len(trace)
+    assert steps > 200
 
 
 # ---------------------------------------------------------------------------
