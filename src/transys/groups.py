@@ -27,7 +27,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Composite permutation applying q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[i] for i in q])
 
 
 def invert(p: Perm) -> Perm:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,7 +32,6 @@ from .groups import (
     identity_perm,
     invert,
     lattice_of,
-    reach,
     trivial_subgroup,
 )
 from .transfer import TransferSystem, discrete, generate_columns, meet
@@ -208,6 +208,12 @@ def _direct_pullback_labels(f: Homomorphism, T: FiniteGSet) -> list:
     Materializes (G' x Sigma_n)/Gamma, lets G x Sigma_n act through
     f x id, decomposes into orbits by breadth-first search, and reads off
     each representative's stabilizer exactly.
+
+    An element (a, pi) is coded as the int a * n! + rank(pi), pi ranked
+    lexicographically, so ascending codes are ascending pairs.  Right
+    multiplication by each sigma_h and left multiplication by the swap
+    and the cycle of Sigma_n are rank tables; a generator of G moves a
+    alone.
     """
     G, Gp, n = f.source, f.target, T.size
     total = Gp.order * math.factorial(n)
@@ -217,37 +223,52 @@ def _direct_pullback_labels(f: Homomorphism, T: FiniteGSet) -> list:
             f"over the limit of {DEFAULT_LEVEL_GUARD}")
     H = T.subgroup
     sigma = dict(zip(H.members, T.act))
-    # number each (a, pi) of G' x Sigma_n with its coset (a, pi)Gamma; in
-    # ascending order, the first member met is the coset's least, its point
-    number: dict[tuple[int, Perm], int] = {}
-    points = []
     perms = list(itertools.permutations(range(n)))  # lexicographic
-    for a in Gp.elements():
-        for pi in perms:
-            if (a, pi) not in number:
-                for h in H.members:
-                    number[(Gp.mul[a][h], compose(pi, sigma[h]))] = len(points)
-                points.append((a, pi))
-
-    # each generator of G x Sigma_n as (row of f(g) in G', permutation)
-    gens = [(Gp.mul[f.map[g]], identity_perm(n)) for g in generators(G)]
+    size = len(perms)
     if n > 1:
-        swap = list(range(n))
-        swap[0], swap[1] = swap[1], swap[0]
-        cycle = tuple(list(range(1, n)) + [0])
-        gens += [(Gp.mul[0], tuple(swap)), (Gp.mul[0], cycle)]
+        rank = {pi: r for r, pi in enumerate(perms)}
+        swap = (1, 0) + tuple(range(2, n))
+        cycle = tuple(range(1, n)) + (0,)
+        # compose(p, q) is itemgetter(*q)(p): s . pi reads s at pi, and
+        # pi . sigma_h reads pi at sigma_h
+        lefts = [[rank[operator.itemgetter(*pi)(s)] for pi in perms]
+                 for s in (swap, cycle)]
+        rights = [[rank[q(pi)] for pi in perms]
+                  for q in [operator.itemgetter(*s) for s in T.act]]
+    else:  # a single permutation; itemgetter of one index gives no tuple
+        lefts, rights = [], [[0]] * H.order
+    # number each code with its coset (a, pi)Gamma; in ascending order,
+    # the first member met is the coset's least, its point
+    number = [-1] * total
+    points = []
+    for a, row in enumerate(Gp.mul):
+        codes = [row[h] * size for h in H.members]
+        for r in range(size):
+            if number[a * size + r] < 0:
+                p = len(points)
+                for code, right in zip(codes, rights):
+                    number[code + right[r]] = p
+                points.append(a * size + r)
 
-    def step(p: int) -> list[int]:
-        a, pi = points[p]
-        return [number[(row[a], compose(s, pi))] for row, s in gens]
-
-    seen: set[int] = set()
+    # each generator of G as the row of f(g) in G', acting on a
+    moves = [Gp.mul[f.map[g]] for g in generators(G)]
+    seen = bytearray(len(points))
     labels = []
     for start in range(len(points)):
-        if start in seen:
+        if seen[start]:
             continue
-        seen.update(reach(start, step))
-        a, pi = points[start]
+        seen[start] = 1
+        queue = [start]
+        for p in queue:  # the list grows while it is read
+            a, r = divmod(points[p], size)
+            base = a * size
+            for q in ([number[row[a] * size + r] for row in moves]
+                      + [number[base + left[r]] for left in lefts]):
+                if not seen[q]:
+                    seen[q] = 1
+                    queue.append(q)
+        a, r = divmod(points[start], size)
+        pi = perms[r]
         ainv = Gp.inv[a]
         members = []
         rows = {}

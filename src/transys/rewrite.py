@@ -783,32 +783,42 @@ def pool_from_free_models(S, T) -> tuple[SymbolPool, dict, dict]:
 # fixed-point structure of terms and admissibility witnesses
 
 
-def fixed_perm(pool: SymbolPool, t: Term, g: int) -> Optional[Perm]:
-    """The permutation pi with g * t = t . pi, if one exists.
+def fixed_perm(pool: SymbolPool, t: Term, g: int,
+               n: Optional[int] = None) -> Optional[Perm]:
+    """The permutation pi with g * t = t . pi, if one exists; n is the
+    arity of t, computed when not given.
 
     It walks t against g * t without building g * t: the node of g * t
     facing a node a of t is g * src for a node src of t, whose children
-    are g * src.children[inv[i]].
+    are g * src.children[inv[i]].  The symbol pairs (a, src) still to
+    compare sit on one flat worklist; variable pairs are settled as they
+    are met.
     """
-    n = term_arity(t)
+    if n is None:
+        n = term_arity(t)
+    if type(t) is Var:  # g * x_i = x_i: pi is the identity on one slot
+        return (0,) if n == 1 and t.index == 1 else None
     pi = [None] * n
     rows = pool.rows
-
-    def walk(a: Term, src: Term) -> bool:
-        if type(src) is Var:
-            # g * t carries x_j at the position where t . pi has x_{pi^-1 j}
-            i, j = a.index - 1 if type(a) is Var else -1, src.index - 1
-            if not (0 <= i < n and 0 <= j < n) or pi[j] not in (None, i):
-                return False
-            pi[j] = i
-            return True
+    work = [(t, t)]
+    pop, push = work.pop, work.append
+    while work:
+        a, src = pop()
         image, _, inv = rows[src.symbol][g]
         if type(a) is Var or a.symbol is not image:
-            return False
+            return None
         kids = src.children
-        return all(walk(c, kids[i]) for c, i in zip(a.children, inv))
-
-    if not walk(t, t) or None in pi:
+        for c, k in zip(a.children, inv):
+            s = kids[k]
+            if type(s) is not Var:
+                push((c, s))
+                continue
+            # g * t carries x_j at the position where t . pi has x_{pi^-1 j}
+            i, j = c.index - 1 if type(c) is Var else -1, s.index - 1
+            if not (0 <= i < n and 0 <= j < n) or pi[j] not in (None, i):
+                return None
+            pi[j] = i
+    if None in pi:
         return None
     return tuple(pi)
 
@@ -817,13 +827,14 @@ def fixed_structure(pool: SymbolPool, t: Term, H: Subgroup
                     ) -> Optional[FiniteGSet]:
     """The H-set on the variable slots of t exhibited by its fixedness
     under the graph of that action, or None if t is not fixed."""
+    n = term_arity(t)
     rows = []
     for h in H.members:
-        rows.append(fixed_perm(pool, t, h))
+        rows.append(fixed_perm(pool, t, h, n))
         if rows[-1] is None:
             return None
     try:
-        return FiniteGSet(H, term_arity(t), tuple(rows))
+        return FiniteGSet(H, n, tuple(rows))
     except GroupError:
         return None
 
@@ -832,7 +843,8 @@ def _exhibits(pool: SymbolPool, t: Term, structure: FiniteGSet) -> bool:
     """Whether t is fixed under the graph of an already validated action,
     with exactly that action on its slots.  Rows equal to an action's rows
     are an action, so no FiniteGSet is built."""
-    return all(fixed_perm(pool, t, h) == row
+    n = term_arity(t)
+    return all(fixed_perm(pool, t, h, n) == row
                for h, row in zip(structure.subgroup.members, structure.act))
 
 
@@ -940,7 +952,14 @@ class WitnessFactory:
 
     def _chain(self, k_id: int, h_id: int) -> list:
         """A shortest chain of generator pairs from k_id up to h_id, as
-        (lower, upper, table) steps, found breadth first."""
+        (lower, upper, table) steps, found breadth first.  A pair that a
+        factor table holds is its own one-link chain, the X table's first,
+        as the search would find it."""
+        if k_id == h_id:
+            return []
+        for table in (self.table_x, self.table_y):
+            if (k_id, h_id) in table.witnesses:
+                return [(k_id, h_id, table)]
         chains = {k_id: []}
         frontier = [k_id]
         while frontier and h_id not in chains:

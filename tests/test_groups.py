@@ -50,6 +50,19 @@ def graph(T):
     return frozenset(zip(T.subgroup.members, T.act))
 
 
+def test_compose_matches_its_definition():
+    """compose(p, q) applies q first: its i-th entry is p[q[i]]; and p
+    composed with its inverse is the identity."""
+    for n in range(5):
+        perms = list(itertools.permutations(range(n)))
+        for p in perms:
+            assert compose(p, invert(p)) == identity_perm(n)
+            for q in perms:
+                pq = compose(p, q)
+                assert type(pq) is tuple and len(pq) == n
+                assert all(pq[i] == p[q[i]] for i in range(n))
+
+
 @pytest.mark.parametrize("name", ["C1", "C6", "K4", "S3", "D4", "C2xC4"])
 def test_generators_generate_and_none_is_redundant(name):
     G = group_by_name(name)

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from transys.catalog import catalog_hom, group_by_name
+from transys.catalog import catalog_hom, catalog_homs, group_by_name
 from transys.functors import image_L, image_R, preimage_L
 from transys.groups import (
     GroupError,
@@ -16,11 +16,13 @@ from transys.groups import (
     compose,
     full_subgroup,
     FiniteGSet,
+    generators,
     graph_conjugacy_label,
     hset_of_orbits,
     identity_perm,
     invert,
     lattice_of,
+    reach,
     right_coset_gset,
     trivial_subgroup,
 )
@@ -322,15 +324,68 @@ def seed_direct_pullback_labels(f, orb):
     return sorted(labels)
 
 
+def dict_direct_pullback_labels(f, orb):
+    """The direct pullback with each (a, pi) numbered in a dict keyed by
+    the pair, one `compose` per step, walked by `reach`."""
+    G, Gp, n = f.source, f.target, orb.size
+    assert Gp.order * math.factorial(n) <= DEFAULT_LEVEL_GUARD
+    H = orb.subgroup
+    sigma = dict(zip(H.members, orb.act))
+    number = {}
+    points = []
+    perms = list(itertools.permutations(range(n)))  # lexicographic
+    for a in Gp.elements():
+        for pi in perms:
+            if (a, pi) not in number:
+                for h in H.members:
+                    number[(Gp.mul[a][h], compose(pi, sigma[h]))] = len(points)
+                points.append((a, pi))
+    gens = [(Gp.mul[f.map[g]], identity_perm(n)) for g in generators(G)]
+    if n > 1:
+        swap = list(range(n))
+        swap[0], swap[1] = swap[1], swap[0]
+        cycle = tuple(list(range(1, n)) + [0])
+        gens += [(Gp.mul[0], tuple(swap)), (Gp.mul[0], cycle)]
+
+    def step(p):
+        a, pi = points[p]
+        return [number[(row[a], compose(s, pi))] for row, s in gens]
+
+    seen = set()
+    labels = []
+    for start in range(len(points)):
+        if start in seen:
+            continue
+        seen.update(reach(start, step))
+        a, pi = points[start]
+        ainv = Gp.inv[a]
+        members = []
+        rows = {}
+        for g in G.elements():
+            h = Gp.mul[Gp.mul[ainv][f.map[g]]][a]
+            if h in H.member_set:
+                members.append(g)
+                rows[g] = compose(pi, compose(sigma[h], invert(pi)))
+        L = Subgroup(G, tuple(members))
+        labels.append(graph_conjugacy_label(
+            FiniteGSet(L, n, tuple(rows[g] for g in L.members))))
+    return sorted(labels)
+
+
 def test_direct_pullback_matches_seed_bfs():
-    """Every orbit of every free model that the double-coset and thmB-res
-    suites pull back, by default and under each of their homs."""
-    orbits = 0
-    for name in ("C4_to_S3", "C2_into_C4", "C4_onto_C2"):
-        f = catalog_hom(name)
+    """Every orbit within DEFAULT_LEVEL_GUARD of every free model of every
+    target system of every catalog hom: the int-coded pullback against
+    the seed BFS and the dict-numbered walk."""
+    orbits = over = 0
+    for name, f in sorted(catalog_homs().items()):
         for t in enumerate_transfer_systems(f.target):
             for orb in free_model(t).orbits:
-                assert (_direct_pullback_labels(f, orb)
-                        == seed_direct_pullback_labels(f, orb))
+                if (f.target.order * math.factorial(orb.size)
+                        > DEFAULT_LEVEL_GUARD):
+                    over += 1
+                    continue
+                labels = _direct_pullback_labels(f, orb)
+                assert labels == seed_direct_pullback_labels(f, orb), name
+                assert labels == dict_direct_pullback_labels(f, orb), name
                 orbits += 1
-    assert orbits > 0
+    assert orbits >= 977 and over > 0

@@ -18,7 +18,9 @@ local rules, `act_g` and `fixed_perm` that read the `g_action` and
 `compose_table` dicts a pool is built from (`dict_local_coproduct`,
 `dict_local_tensor`, `dict_act_g`, `dict_fixed_perm`), against the action
 rows and composite tables the pool builds from them.  The pool keeps only
-its rows and composites, so the `dict_tables` fixture records the dicts."""
+its rows and composites, so the `dict_tables` fixture records the dicts.
+The `fixed_perm` that recursed through a closure, one `all` generator per
+node (`recursive_fixed_perm`), is kept against the flat worklist."""
 
 import copy
 import functools
@@ -830,6 +832,40 @@ def test_factory_witnesses_match_seed_tables_on_d4_slice():
 POOL_SLICES = {"C4": None, "K4": None, "S3": None, "D4": 6}
 
 
+def bfs_chain(factory, k_id, h_id):
+    """`WitnessFactory._chain` with no one-link shortcut: the breadth-first
+    search runs for every pair."""
+    chains = {k_id: []}
+    frontier = [k_id]
+    while frontier and h_id not in chains:
+        nxt = []
+        for cur in frontier:
+            for table in (factory.table_x, factory.table_y):
+                for (a, b) in table.witnesses:
+                    if a == cur and b not in chains:
+                        chains[b] = chains[cur] + [(cur, b, table)]
+                        nxt.append(b)
+        frontier = nxt
+    return chains[h_id]
+
+
+@pytest.mark.parametrize("name", sorted(POOL_SLICES))
+def test_chain_matches_breadth_first_search(name):
+    """Every join pair of every pair of systems (the D4 slice's first 6):
+    one-link and longer pairs take the chain the search finds."""
+    models = _models(name)[:POOL_SLICES[name]]
+    lengths = Counter()
+    for S in models:
+        for T in models:
+            factory = WitnessFactory(S, T)
+            for k_id, h_id in factory.join.pairs():
+                chain = factory._chain(k_id, h_id)
+                assert chain == bfs_chain(factory, k_id, h_id)
+                lengths[min(len(chain), 2)] += 1
+    # the D4 slice's join pairs are all one-link
+    assert lengths[1] and (lengths[2] or name == "D4")
+
+
 @pytest.mark.parametrize("name", sorted(POOL_SLICES))
 def test_pair_pool_matches_per_pair_build(name):
     models = _models(name)[:POOL_SLICES[name]]
@@ -899,6 +935,80 @@ def test_exhibits_matches_validated_structure(name):
                     assert _exhibits(pool, term, v.structure) == expected
                     verdicts[expected] += 1
     assert verdicts[True] and verdicts[False]
+
+
+# ---------------------------------------------------------------------------
+# fixed_perm as a flat worklist, against the recursive walk
+
+
+def recursive_fixed_perm(pool, t, g, n=None):
+    """fixed_perm as a recursive closure over (node of t, node of g * t),
+    one `all` generator per node."""
+    n = term_arity(t) if n is None else n
+    pi = [None] * n
+    rows = pool.rows
+
+    def walk(a, src):
+        if type(src) is Var:
+            i, j = a.index - 1 if type(a) is Var else -1, src.index - 1
+            if not (0 <= i < n and 0 <= j < n) or pi[j] not in (None, i):
+                return False
+            pi[j] = i
+            return True
+        image, _, inv = rows[src.symbol][g]
+        if type(a) is Var or a.symbol is not image:
+            return False
+        kids = src.children
+        return all(walk(c, kids[i]) for c, i in zip(a.children, inv))
+
+    if not walk(t, t) or None in pi:
+        return None
+    return tuple(pi)
+
+
+def _assert_fixed_perm_matches(pool, t, counts):
+    """Both walks agree for every g, with the arity given or not; with
+    any other arity no permutation exists, as some slot is missed or
+    some variable falls outside it."""
+    n = term_arity(t)
+    for g in pool.group.elements():
+        perm = fixed_perm(pool, t, g)
+        assert perm == recursive_fixed_perm(pool, t, g)
+        assert fixed_perm(pool, t, g, n) == perm
+        counts["fixed" if perm is not None else "not fixed"] += 1
+        for m in {n - 1, n + 1} - {-1}:
+            assert fixed_perm(pool, t, g, m) is None
+            assert recursive_fixed_perm(pool, t, g, m) is None
+            counts["other arity"] += 1
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_flat_fixed_perm_matches_recursive_on_streams(label):
+    pool, _, terms = _terms(label)
+    counts = Counter()
+    for t in terms + [Var(1), Var(2)]:
+        _assert_fixed_perm_matches(pool, t, counts)
+    assert counts["fixed"] and counts["not fixed"] and counts["other arity"]
+
+
+@pytest.mark.parametrize("name", ("C4", "S3"))
+def test_flat_fixed_perm_matches_recursive_on_pair_witnesses(name):
+    """Every join witness and normal form of every pair of systems, in
+    both modes, under every element of the group: one outside the
+    witness's subgroup need not fix it, so some return None."""
+    models = _models(name)
+    counts = Counter()
+    for S in models:
+        for T in models:
+            factory = WitnessFactory(S, T)
+            pool = factory.pool
+            for k_id, h_id in factory.join.pairs():
+                for mode in (COPRODUCT, TENSOR):
+                    w = factory.witness(k_id, h_id, mode)
+                    assert w.verified
+                    for t in (w.term, w.normal_form):
+                        _assert_fixed_perm_matches(pool, t, counts)
+    assert counts["fixed"] and counts["not fixed"] and counts["other arity"]
 
 
 @pytest.fixture
