@@ -591,36 +591,38 @@ def id_mask(ids: Iterable[int]) -> int:
     return mask
 
 
-def cosets(G: Group, elems: Iterable[int], K: Subgroup
-           ) -> tuple[list[int], dict[int, int]]:
-    """The left cosets aK partitioning ``elems``, which must be listed in
-    ascending order.
+def coset_action(G: Group, elems: Sequence[int], K: Subgroup
+                 ) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """How the group listed by ``elems``, in ascending order, acts on its
+    left cosets aK.
 
-    Returns the least element of each coset, ordered by least element, and
-    the coset number of every element.
+    Returns the least element b_i of each coset, ascending, and for each g
+    of ``elems`` a row with one pair (j, k) per coset i, such that
+    g b_i = b_j k with k in K.
     """
+    mul = G.mul
     reps: list[int] = []
-    number: dict[int, int] = {}
+    where: list = [None] * G.order  # x = b_j k  ->  (j, k)
     for a in elems:
-        if a not in number:
+        if where[a] is None:
             for k in K.members:
-                number[G.mul[a][k]] = len(reps)
+                where[mul[a][k]] = (len(reps), k)
             reps.append(a)
-    return reps, number
+    rows = [[where[mul[g][b]] for b in reps] for g in elems]
+    return reps, rows
 
 
 def hset_of_orbits(H: Subgroup, parts: Iterable[Subgroup]) -> FiniteGSet:
     """The left H-set H/K_1 + H/K_2 + ..., one block per part in the given
     order, the points of each block being its cosets by least element."""
-    G = H.group
     rows: list[list[int]] = [[] for _ in H.members]
     size = 0
     for K in parts:
         if not H.contains(K):
             raise GroupError("coset space needs K <= H")
-        reps, number = cosets(G, H.members, K)
-        for row, g in zip(rows, H.members):
-            row.extend(size + number[G.mul[g][r]] for r in reps)
+        reps, table = coset_action(H.group, H.members, K)
+        for row, moves in zip(rows, table):
+            row.extend([size + j for j, _ in moves])
         size += len(reps)
     return FiniteGSet(H, size, rows)
 
@@ -637,26 +639,18 @@ def right_coset_gset(G: Group, H: Subgroup) -> FiniteGSet:
 
 
 def induce_hset(H: Subgroup, T: FiniteGSet) -> FiniteGSet:
-    """The induced H-set H x_K T, with points ordered (coset block, T point).
+    """The induced H-set H x_K T, with points ordered (coset block, T point):
+    h moves (b_i, x) to (b_j, k x) where h b_i = b_j k.
 
     Uses the minimal-element coset section, so the realization is canonical.
     """
     K = T.subgroup
     if not H.contains(K):
         raise GroupError("induction needs the acting subgroup inside H")
-    G = H.group
-    reps, number = cosets(G, H.members, K)
+    reps, table = coset_action(H.group, H.members, K)
     m = T.size
-    rows = []
-    for h in H.members:
-        row: list[int] = []
-        for r in reps:
-            hr = G.mul[h][r]
-            j = number[hr]
-            # h r = reps[j] * k with k in K
-            k = G.mul[G.inv[reps[j]]][hr]
-            row.extend(j * m + x for x in T.act_of(k))
-        rows.append(row)
+    rows = [[j * m + x for j, k in moves for x in T.act_of(k)]
+            for moves in table]
     return FiniteGSet(H, len(reps) * m, rows)
 
 

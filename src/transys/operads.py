@@ -24,6 +24,7 @@ from .groups import (
     Perm,
     Subgroup,
     compose,
+    coset_action,
     coset_hset,
     double_cosets,
     full_subgroup,
@@ -209,66 +210,63 @@ def _direct_pullback_labels(f: Homomorphism, T: FiniteGSet) -> list:
     f x id, decomposes into orbits by breadth-first search, and reads off
     each representative's stabilizer exactly.
 
-    An element (a, pi) is coded as the int a * n! + rank(pi), pi ranked
-    lexicographically, so ascending codes are ascending pairs.  Right
-    multiplication by each sigma_h and left multiplication by the swap
-    and the cycle of Sigma_n are rank tables; a generator of G moves a
-    alone.
+    Each coset has one member (b_i, pi) with b_i the least element of a
+    coset of G'/H, as (b_i h, pi)Gamma = (b_i, pi . sigma_h^-1)Gamma; it is
+    coded as the int i * n! + rank(pi), pi ranked lexicographically, so
+    every int below |G'/H| * n! is a point.  A generator g of G moves
+    (b_i, pi) to (b_j, pi . sigma_h^-1) where f(g) b_i = b_j h, and the
+    swap and the cycle of Sigma_n multiply pi on the left; each of these
+    moves is a rank table.
     """
     G, Gp, n = f.source, f.target, T.size
-    total = Gp.order * math.factorial(n)
+    H = T.subgroup
+    size = math.factorial(n)
+    total = Gp.order // H.order * size
     if total > DEFAULT_LEVEL_GUARD:
         raise MaterializationError(
             f"pullback of a level-{n} orbit needs {total} elements, "
             f"over the limit of {DEFAULT_LEVEL_GUARD}")
-    H = T.subgroup
-    sigma = dict(zip(H.members, T.act))
+    reps, table = coset_action(Gp, Gp.elements(), H)
+    # each generator of G as the row of f(g): (j, h) per coset i
+    gen_rows = [table[f.map[g]] for g in generators(G)]
     perms = list(itertools.permutations(range(n)))  # lexicographic
-    size = len(perms)
     if n > 1:
         rank = {pi: r for r, pi in enumerate(perms)}
         swap = (1, 0) + tuple(range(2, n))
         cycle = tuple(range(1, n)) + (0,)
         # compose(p, q) is itemgetter(*q)(p): s . pi reads s at pi, and
-        # pi . sigma_h reads pi at sigma_h
+        # pi . sigma_h^-1 reads pi at sigma_h^-1
         lefts = [[rank[operator.itemgetter(*pi)(s)] for pi in perms]
                  for s in (swap, cycle)]
-        rights = [[rank[q(pi)] for pi in perms]
-                  for q in [operator.itemgetter(*s) for s in T.act]]
+        rights = {}
+        for h in {h for row in gen_rows for _, h in row}:
+            q = operator.itemgetter(*invert(T.act_of(h)))
+            rights[h] = [rank[q(pi)] for pi in perms]
     else:  # a single permutation; itemgetter of one index gives no tuple
-        lefts, rights = [], [[0]] * H.order
-    # number each code with its coset (a, pi)Gamma; in ascending order,
-    # the first member met is the coset's least, its point
-    number = [-1] * total
-    points = []
-    for a, row in enumerate(Gp.mul):
-        codes = [row[h] * size for h in H.members]
-        for r in range(size):
-            if number[a * size + r] < 0:
-                p = len(points)
-                for code, right in zip(codes, rights):
-                    number[code + right[r]] = p
-                points.append(a * size + r)
+        lefts, rights = [], dict.fromkeys(H.members, [0])
+    # per coset i, where each generator sends it: (j * n!, table of h)
+    moves: list[list] = [[] for _ in reps]
+    for row in gen_rows:
+        for move, (j, h) in zip(moves, row):
+            move.append((j * size, rights[h]))
 
-    # each generator of G as the row of f(g) in G', acting on a
-    moves = [Gp.mul[f.map[g]] for g in generators(G)]
-    seen = bytearray(len(points))
+    seen = bytearray(total)
     labels = []
-    for start in range(len(points)):
+    for start in range(total):
         if seen[start]:
             continue
         seen[start] = 1
         queue = [start]
         for p in queue:  # the list grows while it is read
-            a, r = divmod(points[p], size)
-            base = a * size
-            for q in ([number[row[a] * size + r] for row in moves]
-                      + [number[base + left[r]] for left in lefts]):
+            i, r = divmod(p, size)
+            base = i * size
+            for q in ([b + right[r] for b, right in moves[i]]
+                      + [base + left[r] for left in lefts]):
                 if not seen[q]:
                     seen[q] = 1
                     queue.append(q)
-        a, r = divmod(points[start], size)
-        pi = perms[r]
+        i, r = divmod(start, size)
+        a, pi = reps[i], perms[r]
         ainv = Gp.inv[a]
         members = []
         rows = {}
@@ -276,7 +274,7 @@ def _direct_pullback_labels(f: Homomorphism, T: FiniteGSet) -> list:
             h = Gp.mul[Gp.mul[ainv][f.map[g]]][a]
             if h in H.member_set:
                 members.append(g)
-                rows[g] = compose(pi, compose(sigma[h], invert(pi)))
+                rows[g] = compose(pi, compose(T.act_of(h), invert(pi)))
         L = Subgroup(G, tuple(members))
         labels.append(graph_conjugacy_label(
             FiniteGSet(L, n, tuple(rows[g] for g in L.members))))

@@ -40,7 +40,7 @@ from .groups import (
     Perm,
     Subgroup,
     compose,
-    cosets,
+    coset_action,
     identity_perm,
     invert,
     iso_key,
@@ -721,19 +721,16 @@ def orbit_symbols(T: FiniteGSet, factor: str, start: int
                   ) -> tuple[list[OpSymbol], dict, dict]:
     """Sigma-orbit representative symbols of the free orbit of an H-set T.
 
-    There is one symbol per coset aH; the group action table follows
-    g . f_aH = f_gaH . sigma_T(b^-1 g a) with b the coset representative.
+    There is one symbol per coset b_i H; the group action table follows
+    g . f_i = f_j . sigma_T(h) where g b_i = b_j h.
     """
     G = T.group
-    reps, number = cosets(G, G.elements(), T.subgroup)
+    reps, table = coset_action(G, G.elements(), T.subgroup)
     symbols = [OpSymbol(factor, start + i, T.size) for i in range(len(reps))]
-    action = {}
-    for sym, r in zip(symbols, reps):
-        for g in G.elements():
-            ga = G.mul[g][r]
-            j = number[ga]
-            h = G.mul[G.inv[reps[j]]][ga]
-            action[(sym, g)] = (symbols[j], T.act_of(h))
+    sigma = dict(zip(T.subgroup.members, T.act))
+    action = {(sym, g): (symbols[j], sigma[h])
+              for g, moves in zip(G.elements(), table)
+              for sym, (j, h) in zip(symbols, moves)}
     # the identity coset comes first, since 0 is the least element
     return symbols, action, {T: symbols[0]}
 

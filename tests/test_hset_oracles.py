@@ -12,6 +12,9 @@ every enumerated H-set, conjugating and restricting action tables.
 the isomorphic left G-set G/H.  The right table and the coinduced criterion
 read on it (an element that fixes a point must act trivially) are kept
 here as the oracle of the coinduced operads.
+
+`cosets`, the coset numbering that `coset_action` replaced, is kept as the
+oracle of the coset representatives.
 """
 
 import random
@@ -22,6 +25,7 @@ from transys.catalog import group_by_name
 from transys.groups import (
     FiniteGSet,
     Subgroup,
+    coset_action,
     coset_hset,
     full_subgroup,
     hset_of_orbits,
@@ -43,6 +47,7 @@ from transys.transfer import enumerate_transfer_systems, rel_from_pairs
 TABLE_GROUPS = tuple(f"C{n}" for n in range(1, 13)) + ("K4", "S3", "D4",
                                                         "C2xC4")
 CLASS_GROUPS = ("C4", "K4", "S3", "D4")
+COSET_GROUPS = TABLE_GROUPS + ("C24", "D6", "C2xC6", "S4", "C2xC2xC2")
 
 
 def _left_cosets(G, elems, K):
@@ -55,6 +60,40 @@ def _left_cosets(G, elems, K):
             cosets.append(cs)
     cosets.sort(key=min)
     return cosets
+
+
+def cosets(G, elems, K):
+    """The left cosets aK partitioning ``elems``, which must be listed in
+    ascending order: the least element of each coset, ordered by least
+    element, and the coset number of every element."""
+    reps = []
+    number = {}
+    for a in elems:
+        if a not in number:
+            for k in K.members:
+                number[G.mul[a][k]] = len(reps)
+            reps.append(a)
+    return reps, number
+
+
+@pytest.mark.parametrize("name", COSET_GROUPS)
+def test_coset_action_matches_coset_numbering(name):
+    """On every K <= H: the coset numbering's representatives, and a row
+    per member g of H with g b_i = b_j k, k in K, j the number of g b_i."""
+    G = group_by_name(name)
+    lat = lattice_of(G)
+    for h_id, H in enumerate(lat.subgroups):
+        for k_id in lat.ids_below(h_id):
+            K = lat.subgroups[k_id]
+            reps, table = coset_action(G, H.members, K)
+            old_reps, number = cosets(G, H.members, K)
+            assert reps == old_reps
+            assert len(table) == H.order
+            for g, row in zip(H.members, table):
+                assert len(row) == len(reps)
+                for b, (j, k) in zip(reps, row):
+                    assert k in K and j == number[G.mul[g][b]]
+                    assert G.mul[g][b] == G.mul[reps[j]][k]
 
 
 def old_coset_hset(H, K):

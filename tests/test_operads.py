@@ -4,10 +4,12 @@ induction."""
 
 import itertools
 import math
+import operator
 from collections import Counter
 
 import pytest
 
+from transys import operads
 from transys.catalog import catalog_hom, catalog_homs, group_by_name
 from transys.functors import image_L, image_R, preimage_L
 from transys.groups import (
@@ -140,12 +142,13 @@ def test_coind_criterion_matches_materialized_levels():
 
 
 def test_coind_materialization_guard():
-    # the direct pullback refuses a level of 4 * 9! elements, over the guard
+    # the direct pullback refuses a level of |C4/C4| * 9! points, over the
+    # guard
     C4 = group_by_name("C4")
     full = full_subgroup(C4)
     trivial9 = hset_of_orbits(full, (full,) * 9)
     big = SymmetricSequence(C4, (trivial9,))
-    with pytest.raises(MaterializationError, match="needs 1451520 elements"):
+    with pytest.raises(MaterializationError, match="needs 362880 elements"):
         double_coset_check(catalog_hom("id_C4"), big)
     # the coinduced operad decides that arity by its criterion alone
     op = CoindAsOperad(right_coset_gset(C4, trivial_subgroup(C4)))
@@ -372,10 +375,88 @@ def dict_direct_pullback_labels(f, orb):
     return sorted(labels)
 
 
+def numbered_direct_pullback_labels(f, T):
+    """The direct pullback over every code of G' x Sigma_n, each coset
+    numbered by its least code in a flat list and walked over a bytearray.
+
+    An element (a, pi) is coded as the int a * n! + rank(pi), pi ranked
+    lexicographically, so ascending codes are ascending pairs.  Right
+    multiplication by each sigma_h and left multiplication by the swap
+    and the cycle of Sigma_n are rank tables; a generator of G moves a
+    alone.
+    """
+    G, Gp, n = f.source, f.target, T.size
+    total = Gp.order * math.factorial(n)
+    if total > operads.DEFAULT_LEVEL_GUARD:
+        raise MaterializationError(
+            f"pullback of a level-{n} orbit needs {total} elements, "
+            f"over the limit of {operads.DEFAULT_LEVEL_GUARD}")
+    H = T.subgroup
+    sigma = dict(zip(H.members, T.act))
+    perms = list(itertools.permutations(range(n)))  # lexicographic
+    size = len(perms)
+    if n > 1:
+        rank = {pi: r for r, pi in enumerate(perms)}
+        swap = (1, 0) + tuple(range(2, n))
+        cycle = tuple(range(1, n)) + (0,)
+        # compose(p, q) is itemgetter(*q)(p): s . pi reads s at pi, and
+        # pi . sigma_h reads pi at sigma_h
+        lefts = [[rank[operator.itemgetter(*pi)(s)] for pi in perms]
+                 for s in (swap, cycle)]
+        rights = [[rank[q(pi)] for pi in perms]
+                  for q in [operator.itemgetter(*s) for s in T.act]]
+    else:  # a single permutation; itemgetter of one index gives no tuple
+        lefts, rights = [], [[0]] * H.order
+    # number each code with its coset (a, pi)Gamma; in ascending order,
+    # the first member met is the coset's least, its point
+    number = [-1] * total
+    points = []
+    for a, row in enumerate(Gp.mul):
+        codes = [row[h] * size for h in H.members]
+        for r in range(size):
+            if number[a * size + r] < 0:
+                p = len(points)
+                for code, right in zip(codes, rights):
+                    number[code + right[r]] = p
+                points.append(a * size + r)
+
+    # each generator of G as the row of f(g) in G', acting on a
+    moves = [Gp.mul[f.map[g]] for g in generators(G)]
+    seen = bytearray(len(points))
+    labels = []
+    for start in range(len(points)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        queue = [start]
+        for p in queue:  # the list grows while it is read
+            a, r = divmod(points[p], size)
+            base = a * size
+            for q in ([number[row[a] * size + r] for row in moves]
+                      + [number[base + left[r]] for left in lefts]):
+                if not seen[q]:
+                    seen[q] = 1
+                    queue.append(q)
+        a, r = divmod(points[start], size)
+        pi = perms[r]
+        ainv = Gp.inv[a]
+        members = []
+        rows = {}
+        for g in G.elements():
+            h = Gp.mul[Gp.mul[ainv][f.map[g]]][a]
+            if h in H.member_set:
+                members.append(g)
+                rows[g] = compose(pi, compose(sigma[h], invert(pi)))
+        L = Subgroup(G, tuple(members))
+        labels.append(graph_conjugacy_label(
+            FiniteGSet(L, n, tuple(rows[g] for g in L.members))))
+    return sorted(labels)
+
+
 def test_direct_pullback_matches_seed_bfs():
     """Every orbit within DEFAULT_LEVEL_GUARD of every free model of every
-    target system of every catalog hom: the int-coded pullback against
-    the seed BFS and the dict-numbered walk."""
+    target system of every catalog hom: the coset-coded pullback against
+    the seed BFS, the dict-numbered walk and the flat-numbered walk."""
     orbits = over = 0
     for name, f in sorted(catalog_homs().items()):
         for t in enumerate_transfer_systems(f.target):
@@ -387,5 +468,23 @@ def test_direct_pullback_matches_seed_bfs():
                 labels = _direct_pullback_labels(f, orb)
                 assert labels == seed_direct_pullback_labels(f, orb), name
                 assert labels == dict_direct_pullback_labels(f, orb), name
+                assert labels == numbered_direct_pullback_labels(f, orb), name
                 orbits += 1
     assert orbits >= 977 and over > 0
+
+
+@pytest.mark.parametrize("name", ["C8_sub0_incl", "C2_into_C8",
+                                  "C4_into_C8", "id_C8"])
+def test_coset_coded_pullback_matches_numbered_walk_at_level_8(
+        name, monkeypatch):
+    """The level-8 orbits of C8, which the walk over every code of
+    G' x Sigma_n reaches only over the guard (8 * 8! codes): one hom per
+    source order."""
+    monkeypatch.setattr(operads, "DEFAULT_LEVEL_GUARD", 400_000)
+    f = catalog_hom(name)
+    level8 = {orb for t in enumerate_transfer_systems(f.target)
+              for orb in free_model(t).orbits if orb.size == 8}
+    assert level8
+    for orb in level8:
+        assert _direct_pullback_labels(f, orb) \
+            == numbered_direct_pullback_labels(f, orb)

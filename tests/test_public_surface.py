@@ -2,8 +2,9 @@
 
 A top-level function or class, or a method of a top-level class, passes
 when one of these names it:
-- code in `src/transys` outside the definition's own body, as a name, an
-  attribute or an import;
+- code in `src/transys` outside the definition's own body, as an
+  attribute, an import or a name that resolves to the module's global
+  scope; a parameter or local variable of the same name does not count;
 - an `__all__` list;
 - a `perfbench/*.py` file, as an identifier or a string constant (the
   tracer names its targets in strings).
@@ -30,22 +31,101 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _scope(node):
+    """(names bound, names declared global) of one function, lambda, class
+    or comprehension: its parameters, the targets of its assignments,
+    loops, imports and handlers, and its nested definitions, not looking
+    into nested scopes."""
+    bound, declared = set(), set()
+    if isinstance(node, _COMPREHENSIONS):
+        todo = [gen.target for gen in node.generators]
+    elif isinstance(node, ast.Lambda):
+        todo = []
+    else:
+        todo = list(node.body)
+    if not isinstance(node, (ast.ClassDef,) + _COMPREHENSIONS):
+        a = node.args
+        bound.update(arg.arg for arg in (*a.posonlyargs, *a.args,
+                                         *a.kwonlyargs, a.vararg, a.kwarg)
+                     if arg is not None)
+    while todo:
+        n = todo.pop()
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+            bound.add(n.id)
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                            ast.ClassDef)):
+            bound.add(n.name)
+        elif isinstance(n, ast.alias):
+            bound.add((n.asname or n.name).split(".")[0])
+        elif isinstance(n, ast.ExceptHandler) and n.name:
+            bound.add(n.name)
+        elif isinstance(n, ast.Global):
+            declared.update(n.names)
+        elif isinstance(n, ast.Nonlocal):
+            bound.update(n.names)
+        if not isinstance(n, _SCOPES):
+            todo.extend(ast.iter_child_nodes(n))
+    return bound - declared, declared
+
+
+def _is_global(name, scopes):
+    """Whether ``name`` read in the innermost of ``scopes`` (outermost
+    first, each (bound, declared, is_class)) resolves to the module: a
+    class scope is seen only from its own body."""
+    for depth, (bound, declared, is_class) in enumerate(reversed(scopes)):
+        if is_class and depth > 0:
+            continue
+        if name in declared:
+            return True
+        if name in bound:
+            return False
+    return True
+
+
+def _parts(node):
+    """The child nodes of a scope node read in the enclosing scope
+    (decorators, defaults, bases, a comprehension's first iterable), and
+    those read in its own scope."""
+    if isinstance(node, _COMPREHENSIONS):
+        first = node.generators[0]
+        return [first.iter], [c for c in ast.iter_child_nodes(node)
+                              if c is not first] + [first.target, *first.ifs]
+    own = [node.body] if isinstance(node, ast.Lambda) else node.body
+    return [c for c in ast.iter_child_nodes(node)
+            if not any(c is o for o in own)], own
+
+
 def _names(node):
-    """Every name a node mentions, each with the nodes enclosing it."""
+    """Every name a node mentions as an attribute, an import or a global
+    name, each with the nodes enclosing it."""
     out = []
 
-    def walk(n, inside):
+    def walk(n, scopes, inside):
         if isinstance(n, ast.Name):
-            out.append((n.id, inside))
+            if _is_global(n.id, scopes):
+                out.append((n.id, inside))
         elif isinstance(n, ast.Attribute):
             out.append((n.attr, inside))
         elif isinstance(n, ast.alias):
             out.append((n.name.split(".")[-1], inside))
         inside = inside | {id(n)}
-        for child in ast.iter_child_nodes(n):
-            walk(child, inside)
+        if isinstance(n, _SCOPES):
+            outer, own = _parts(n)
+            inner = scopes + [(*_scope(n), isinstance(n, ast.ClassDef))]
+            for child in outer:
+                walk(child, scopes, inside)
+            for child in own:
+                walk(child, inner, inside)
+        else:
+            for child in ast.iter_child_nodes(n):
+                walk(child, scopes, inside)
 
-    walk(node, frozenset())
+    walk(node, [], frozenset())
     return out
 
 
@@ -89,3 +169,14 @@ def unreached():
 
 def test_every_definition_is_reached_outside_the_tests():
     assert unreached() == []
+
+
+def test_parameters_and_locals_do_not_reach_a_definition():
+    tree = ast.parse(
+        "def f(rel):\n    return rel\n"
+        "def g():\n    rel = 1\n    return [rel for rel in range(rel)]\n"
+        "def h():\n    return rel, x.rel, [rel for rel in rel]\n"
+        "class C:\n    rel = 1\n    def m(self):\n        return rel\n")
+    # h's global read, attribute and comprehension iterable (read in h's
+    # scope), and m's read, which does not see the class body
+    assert [name for name, _ in _names(tree)].count("rel") == 4
