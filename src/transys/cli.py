@@ -19,8 +19,8 @@ from .catalog import (
     group_to_json,
     hom_from_json,
 )
+from .functors import apply_functor
 from .groups import Group, GroupError, all_subgroups, lattice_of
-from .operads import MaterializationError
 from .transfer import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -121,8 +121,6 @@ def cmd_ts(args) -> int:
 
 
 def cmd_functor(args) -> int:
-    from .functors import apply_functor
-
     if args.hom_file:
         f = hom_from_json(_read_json(args.hom_file))
     elif args.hom is None:
@@ -236,8 +234,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         sys.stderr.write(f"budget exceeded: {err}\n")
         return BUDGET
-    except (GroupError, TransferSystemError, MaterializationError,
-            ValueError, OSError) as err:
+    except (GroupError, TransferSystemError, ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return FAIL
 

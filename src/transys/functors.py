@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groups import GroupError, Homomorphism, lattice_of
+from .groups import GroupError, Homomorphism, compose_homs, lattice_of
 from .transfer import TransferSystem, cogenerate_along, generate_along
 
 KINDS = ("fL", "finvL", "fR", "finvR")
@@ -118,7 +118,6 @@ def verify_functoriality(h: Homomorphism, k: Homomorphism,
     """The four composite equalities for a chain G -h-> G' -k-> G''."""
     if h.target != k.source:
         raise GroupError("homomorphisms are not composable")
-    from .groups import compose_homs
     kh = compose_homs(k, h)
     reports = []
     for law, functor, direct, systems in (

@@ -2,16 +2,11 @@
 
 Free (marked) operads are never materialized: a symmetric sequence of free
 orbits, each given by the H-set whose graph is its stabilizer, determines
-the transfer system, and that is all admissibility needs.  Only the direct
-pullback that checks the double-coset formula materializes a level, under
-DEFAULT_LEVEL_GUARD.
+the transfer system, and that is all admissibility needs.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,7 +18,6 @@ from .groups import (
     Homomorphism,
     Perm,
     Subgroup,
-    compose,
     coset_action,
     coset_hset,
     double_cosets,
@@ -31,17 +25,21 @@ from .groups import (
     generators,
     graph_conjugacy_label,
     identity_perm,
-    invert,
+    inclusion_hom,
     lattice_of,
+    reach,
+    right_coset_gset,
     trivial_subgroup,
 )
-from .transfer import TransferSystem, discrete, generate_columns, meet
-
-DEFAULT_LEVEL_GUARD = 200_000
-
-
-class MaterializationError(RuntimeError):
-    """A level was too large to materialize under DEFAULT_LEVEL_GUARD."""
+from .transfer import (
+    TransferSystem,
+    discrete,
+    generate_columns,
+    join,
+    meet,
+    rel_from_pairs,
+    validate,
+)
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,6 @@ def symseq_transfer(S: SymmetricSequence) -> TransferSystem:
 
 def coproduct_join_check(S: SymmetricSequence, T: SymmetricSequence) -> LawReport:
     """Generator-level content of 'coproducts realize joins'."""
-    from .transfer import join
     combined = symseq_transfer(S.union(T))
     expected = join(symseq_transfer(S), symseq_transfer(T))
     report = LawReport("transfer(S u T) = transfer(S) v transfer(T)", 1)
@@ -136,7 +133,6 @@ class CoindAsOperad:
 
     def transfer(self) -> TransferSystem:
         """Transfer system read off the criterion over all orbit pairs."""
-        from .transfer import rel_from_pairs, validate
         lat = lattice_of(self.group)
         pairs = []
         for h_id in range(lat.count):
@@ -206,78 +202,35 @@ def restrict_symseq_predicted(f: Homomorphism, S: SymmetricSequence
 def _direct_pullback_labels(f: Homomorphism, T: FiniteGSet) -> list:
     """Orbit stabilizer labels of the direct pullback of one free orbit.
 
-    Materializes (G' x Sigma_n)/Gamma, lets G x Sigma_n act through
-    f x id, decomposes into orbits by breadth-first search, and reads off
-    each representative's stabilizer exactly.
+    Lets G x Sigma_n act on (G' x Sigma_n)/Gamma through f x id, splits
+    it into orbits, and reads off each representative's stabilizer
+    exactly.
 
-    Each coset has one member (b_i, pi) with b_i the least element of a
-    coset of G'/H, as (b_i h, pi)Gamma = (b_i, pi . sigma_h^-1)Gamma; it is
-    coded as the int i * n! + rank(pi), pi ranked lexicographically, so
-    every int below |G'/H| * n! is a point.  A generator g of G moves
-    (b_i, pi) to (b_j, pi . sigma_h^-1) where f(g) b_i = b_j h, and the
-    swap and the cycle of Sigma_n multiply pi on the left; each of these
-    moves is a rank table.
+    Each point has a member (b_i, pi) with b_i the least element of a
+    coset of G'/H, as (b_i h, pi)Gamma = (b_i, pi . sigma_h^-1)Gamma.
+    Sigma_n multiplies pi on the left, so it is transitive on each block
+    i, and a generator g of G moves block i to block j where
+    f(g) b_i = b_j h.  The orbits are therefore those of f(G) on G'/H,
+    and each is read at (b_i, identity) for its least i: the g with
+    f(g) b_i = b_i h, paired with sigma_h.
     """
-    G, Gp, n = f.source, f.target, T.size
-    H = T.subgroup
-    size = math.factorial(n)
-    total = Gp.order // H.order * size
-    if total > DEFAULT_LEVEL_GUARD:
-        raise MaterializationError(
-            f"pullback of a level-{n} orbit needs {total} elements, "
-            f"over the limit of {DEFAULT_LEVEL_GUARD}")
-    reps, table = coset_action(Gp, Gp.elements(), H)
-    # each generator of G as the row of f(g): (j, h) per coset i
+    G, H = f.source, T.subgroup
+    reps, table = coset_action(f.target, f.target.elements(), H)
     gen_rows = [table[f.map[g]] for g in generators(G)]
-    perms = list(itertools.permutations(range(n)))  # lexicographic
-    if n > 1:
-        rank = {pi: r for r, pi in enumerate(perms)}
-        swap = (1, 0) + tuple(range(2, n))
-        cycle = tuple(range(1, n)) + (0,)
-        # compose(p, q) is itemgetter(*q)(p): s . pi reads s at pi, and
-        # pi . sigma_h^-1 reads pi at sigma_h^-1
-        lefts = [[rank[operator.itemgetter(*pi)(s)] for pi in perms]
-                 for s in (swap, cycle)]
-        rights = {}
-        for h in {h for row in gen_rows for _, h in row}:
-            q = operator.itemgetter(*invert(T.act_of(h)))
-            rights[h] = [rank[q(pi)] for pi in perms]
-    else:  # a single permutation; itemgetter of one index gives no tuple
-        lefts, rights = [], dict.fromkeys(H.members, [0])
-    # per coset i, where each generator sends it: (j * n!, table of h)
-    moves: list[list] = [[] for _ in reps]
-    for row in gen_rows:
-        for move, (j, h) in zip(moves, row):
-            move.append((j * size, rights[h]))
-
-    seen = bytearray(total)
+    seen: set[int] = set()
     labels = []
-    for start in range(total):
-        if seen[start]:
+    for i in range(len(reps)):
+        if i in seen:
             continue
-        seen[start] = 1
-        queue = [start]
-        for p in queue:  # the list grows while it is read
-            i, r = divmod(p, size)
-            base = i * size
-            for q in ([b + right[r] for b, right in moves[i]]
-                      + [base + left[r] for left in lefts]):
-                if not seen[q]:
-                    seen[q] = 1
-                    queue.append(q)
-        i, r = divmod(start, size)
-        a, pi = reps[i], perms[r]
-        ainv = Gp.inv[a]
-        members = []
-        rows = {}
+        seen.update(reach(i, lambda p: [row[p][0] for row in gen_rows]))
+        members, rows = [], []
         for g in G.elements():
-            h = Gp.mul[Gp.mul[ainv][f.map[g]]][a]
-            if h in H.member_set:
+            j, h = table[f.map[g]][i]
+            if j == i:
                 members.append(g)
-                rows[g] = compose(pi, compose(T.act_of(h), invert(pi)))
-        L = Subgroup(G, tuple(members))
+                rows.append(T.act_of(h))
         labels.append(graph_conjugacy_label(
-            FiniteGSet(L, n, tuple(rows[g] for g in L.members))))
+            FiniteGSet(Subgroup(G, tuple(members)), T.size, rows)))
     return sorted(labels)
 
 
@@ -400,8 +353,6 @@ def theoremB_ind_check(m: Homomorphism,
 def theoremB_coind_check(G: Group) -> LawReport:
     """For every subgroup H, the coinduced associativity operad on H\\G has
     the transfer system of the right image of the discrete system on H."""
-    from .groups import inclusion_hom, right_coset_gset
-
     lat = lattice_of(G)
     checked = 0
     for H in lat.subgroups:

@@ -46,6 +46,8 @@ from .groups import (
     iso_key,
     lattice_of,
 )
+from .operads import symseq_transfer
+from .transfer import join
 
 
 class RewriteError(ValueError):
@@ -892,8 +894,6 @@ class WitnessTable:
     """
 
     def __init__(self, pool: SymbolPool, symseq, base: dict):
-        from .operads import symseq_transfer
-
         lat = lattice_of(symseq.group)
         self.transfer = symseq_transfer(symseq)
         self.witnesses: dict[tuple[int, int], Witness] = {}
@@ -940,8 +940,6 @@ class WitnessFactory:
     """
 
     def __init__(self, S, T):
-        from .transfer import join
-
         self.pool, x, y = _pair_parts(S, T)
         self.lat = lattice_of(S.group)
         self.table_x, self.table_y = x.table, y.table

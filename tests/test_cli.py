@@ -423,19 +423,12 @@ def test_verify_suites(capsys):
 
 
 @pytest.mark.parametrize("hom", ["C2_into_C8", "C4_into_C8"])
-def test_verify_double_coset_over_the_level_guard(hom, capsys, monkeypatch):
-    # a level-8 orbit over C8 has |C8/C8| * 8! = 40320 points, within the
-    # guard
+def test_verify_double_coset_at_level_8(hom, capsys):
+    # the level-8 orbit over C8, whose pullback has |C8/C8| * 8! = 40320
+    # points
     code, out, _ = run(capsys, "verify", "double-coset", "--hom", hom)
     data = json.loads(out)
     assert code == 0 and data["passed"] and data["cases"] == 37
-    # over a lowered guard the same orbit is one error line; it once
-    # escaped as a MaterializationError traceback
-    monkeypatch.setattr("transys.operads.DEFAULT_LEVEL_GUARD", 10_000)
-    code, out, err = run(capsys, "verify", "double-coset", "--hom", hom)
-    assert code == 1 and out == "" and "Traceback" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "needs 40320 elements, over the limit of 10000" in err
 
 
 @pytest.mark.parametrize("mode", ["tensor", "coproduct"])

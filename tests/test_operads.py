@@ -16,6 +16,8 @@ from transys.groups import (
     GroupError,
     Subgroup,
     compose,
+    coset_action,
+    double_cosets,
     full_subgroup,
     FiniteGSet,
     generators,
@@ -29,13 +31,12 @@ from transys.groups import (
     trivial_subgroup,
 )
 from transys.operads import (
-    DEFAULT_LEVEL_GUARD,
     CoindAsOperad,
-    MaterializationError,
     SymmetricSequence,
     coind_as_product_check,
     coproduct_join_check,
     _direct_pullback_labels,
+    _pullback_orbit,
     double_coset_check,
     free_model,
     induce_symseq,
@@ -142,14 +143,13 @@ def test_coind_criterion_matches_materialized_levels():
 
 
 def test_coind_materialization_guard():
-    # the direct pullback refuses a level of |C4/C4| * 9! points, over the
-    # guard
+    # the direct pullback walks the one coset of C4/C4, not its 9! points
     C4 = group_by_name("C4")
     full = full_subgroup(C4)
     trivial9 = hset_of_orbits(full, (full,) * 9)
     big = SymmetricSequence(C4, (trivial9,))
-    with pytest.raises(MaterializationError, match="needs 362880 elements"):
-        double_coset_check(catalog_hom("id_C4"), big)
+    report = double_coset_check(catalog_hom("id_C4"), big)
+    assert report.passed and report.checked == 1
     # the coinduced operad decides that arity by its criterion alone
     op = CoindAsOperad(right_coset_gset(C4, trivial_subgroup(C4)))
     assert op.admits(full, trivial9)
@@ -279,11 +279,15 @@ def test_double_coset_check():
             assert report.passed, (name, report.counterexample)
 
 
-def seed_direct_pullback_labels(f, orb):
+#: the most codes of G' x Sigma_n an oracle below may walk
+CODE_LIMIT = 200_000
+
+
+def seed_direct_pullback_labels(f, orb, limit=CODE_LIMIT):
     """The direct pullback with each point found as the least member of
     its coset by |H| compositions, acted on by every element of G."""
     G, Gp, n = f.source, f.target, orb.size
-    assert Gp.order * math.factorial(n) <= DEFAULT_LEVEL_GUARD
+    assert Gp.order * math.factorial(n) <= limit
     H = orb.subgroup
     sigma = {h: orb.act_of(h) for h in H.members}
     perms = sorted(itertools.permutations(range(n)))
@@ -327,11 +331,11 @@ def seed_direct_pullback_labels(f, orb):
     return sorted(labels)
 
 
-def dict_direct_pullback_labels(f, orb):
+def dict_direct_pullback_labels(f, orb, limit=CODE_LIMIT):
     """The direct pullback with each (a, pi) numbered in a dict keyed by
     the pair, one `compose` per step, walked by `reach`."""
     G, Gp, n = f.source, f.target, orb.size
-    assert Gp.order * math.factorial(n) <= DEFAULT_LEVEL_GUARD
+    assert Gp.order * math.factorial(n) <= limit
     H = orb.subgroup
     sigma = dict(zip(H.members, orb.act))
     number = {}
@@ -375,7 +379,7 @@ def dict_direct_pullback_labels(f, orb):
     return sorted(labels)
 
 
-def numbered_direct_pullback_labels(f, T):
+def numbered_direct_pullback_labels(f, T, limit=CODE_LIMIT):
     """The direct pullback over every code of G' x Sigma_n, each coset
     numbered by its least code in a flat list and walked over a bytearray.
 
@@ -387,10 +391,7 @@ def numbered_direct_pullback_labels(f, T):
     """
     G, Gp, n = f.source, f.target, T.size
     total = Gp.order * math.factorial(n)
-    if total > operads.DEFAULT_LEVEL_GUARD:
-        raise MaterializationError(
-            f"pullback of a level-{n} orbit needs {total} elements, "
-            f"over the limit of {operads.DEFAULT_LEVEL_GUARD}")
+    assert total <= limit
     H = T.subgroup
     sigma = dict(zip(H.members, T.act))
     perms = list(itertools.permutations(range(n)))  # lexicographic
@@ -453,38 +454,155 @@ def numbered_direct_pullback_labels(f, T):
     return sorted(labels)
 
 
+def coset_coded_direct_pullback_labels(f, T, limit=CODE_LIMIT):
+    """The direct pullback over all |G'/H| * n! points of
+    (G' x Sigma_n)/Gamma, walked over a bytearray.
+
+    Each coset has one member (b_i, pi) with b_i the least element of a
+    coset of G'/H, as (b_i h, pi)Gamma = (b_i, pi . sigma_h^-1)Gamma; it is
+    coded as the int i * n! + rank(pi), pi ranked lexicographically.  A
+    generator g of G moves (b_i, pi) to (b_j, pi . sigma_h^-1) where
+    f(g) b_i = b_j h, and the swap and the cycle of Sigma_n multiply pi on
+    the left; each of these moves is a rank table.
+    """
+    G, Gp, n = f.source, f.target, T.size
+    H = T.subgroup
+    size = math.factorial(n)
+    total = Gp.order // H.order * size
+    assert total <= limit
+    reps, table = coset_action(Gp, Gp.elements(), H)
+    # each generator of G as the row of f(g): (j, h) per coset i
+    gen_rows = [table[f.map[g]] for g in generators(G)]
+    perms = list(itertools.permutations(range(n)))  # lexicographic
+    if n > 1:
+        rank = {pi: r for r, pi in enumerate(perms)}
+        swap = (1, 0) + tuple(range(2, n))
+        cycle = tuple(range(1, n)) + (0,)
+        # compose(p, q) is itemgetter(*q)(p): s . pi reads s at pi, and
+        # pi . sigma_h^-1 reads pi at sigma_h^-1
+        lefts = [[rank[operator.itemgetter(*pi)(s)] for pi in perms]
+                 for s in (swap, cycle)]
+        rights = {}
+        for h in {h for row in gen_rows for _, h in row}:
+            q = operator.itemgetter(*invert(T.act_of(h)))
+            rights[h] = [rank[q(pi)] for pi in perms]
+    else:  # a single permutation; itemgetter of one index gives no tuple
+        lefts, rights = [], dict.fromkeys(H.members, [0])
+    # per coset i, where each generator sends it: (j * n!, table of h)
+    moves = [[] for _ in reps]
+    for row in gen_rows:
+        for move, (j, h) in zip(moves, row):
+            move.append((j * size, rights[h]))
+
+    seen = bytearray(total)
+    labels = []
+    for start in range(total):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        queue = [start]
+        for p in queue:  # the list grows while it is read
+            i, r = divmod(p, size)
+            base = i * size
+            for q in ([b + right[r] for b, right in moves[i]]
+                      + [base + left[r] for left in lefts]):
+                if not seen[q]:
+                    seen[q] = 1
+                    queue.append(q)
+        i, r = divmod(start, size)
+        a, pi = reps[i], perms[r]
+        ainv = Gp.inv[a]
+        members = []
+        rows = {}
+        for g in G.elements():
+            h = Gp.mul[Gp.mul[ainv][f.map[g]]][a]
+            if h in H.member_set:
+                members.append(g)
+                rows[g] = compose(pi, compose(T.act_of(h), invert(pi)))
+        L = Subgroup(G, tuple(members))
+        labels.append(graph_conjugacy_label(
+            FiniteGSet(L, n, tuple(rows[g] for g in L.members))))
+    return sorted(labels)
+
+
+def catalog_orbits():
+    """(hom name, hom, orbit) for every orbit of every free model of every
+    target system of every catalog hom."""
+    return [(name, f, orb)
+            for name, f in sorted(catalog_homs().items())
+            for t in enumerate_transfer_systems(f.target)
+            for orb in free_model(t).orbits]
+
+
+def formula_labels(f, orb):
+    """The labels the double-coset formula predicts for one orbit."""
+    return sorted(graph_conjugacy_label(_pullback_orbit(f, r, orb))
+                  for r in double_cosets(f.target, f.image(), orb.subgroup))
+
+
 def test_direct_pullback_matches_seed_bfs():
-    """Every orbit within DEFAULT_LEVEL_GUARD of every free model of every
-    target system of every catalog hom: the coset-coded pullback against
-    the seed BFS, the dict-numbered walk and the flat-numbered walk."""
-    orbits = over = 0
-    for name, f in sorted(catalog_homs().items()):
-        for t in enumerate_transfer_systems(f.target):
-            for orb in free_model(t).orbits:
-                if (f.target.order * math.factorial(orb.size)
-                        > DEFAULT_LEVEL_GUARD):
-                    over += 1
-                    continue
-                labels = _direct_pullback_labels(f, orb)
-                assert labels == seed_direct_pullback_labels(f, orb), name
-                assert labels == dict_direct_pullback_labels(f, orb), name
-                assert labels == numbered_direct_pullback_labels(f, orb), name
-                orbits += 1
-    assert orbits >= 977 and over > 0
+    """Every orbit within CODE_LIMIT of every free model of every target
+    system of every catalog hom: the coset walk against the seed BFS, the
+    dict-numbered walk, the flat-numbered walk (each over every code of
+    G' x Sigma_n) and the coset-coded walk (over |G'/H| * n! codes)."""
+    orbits = coded = over = 0
+    for name, f, orb in catalog_orbits():
+        labels = _direct_pullback_labels(f, orb)
+        size = math.factorial(orb.size)
+        if f.target.order // orb.subgroup.order * size <= CODE_LIMIT:
+            assert labels == coset_coded_direct_pullback_labels(f, orb), name
+            coded += 1
+        if f.target.order * size > CODE_LIMIT:
+            over += 1
+            continue
+        assert labels == seed_direct_pullback_labels(f, orb), name
+        assert labels == dict_direct_pullback_labels(f, orb), name
+        assert labels == numbered_direct_pullback_labels(f, orb), name
+        orbits += 1
+    assert orbits == 977 and over == 35 and coded > orbits
+
+
+def test_direct_pullback_matches_formula_on_every_catalog_orbit():
+    """The coset walk agrees with the double-coset formula on all 1,012
+    catalog orbits, the 35 level-8 orbits into C8 among them that no walk
+    over G' x Sigma_n reaches within CODE_LIMIT."""
+    orbits = 0
+    for name, f, orb in catalog_orbits():
+        assert _direct_pullback_labels(f, orb) == formula_labels(f, orb), name
+        orbits += 1
+    assert orbits == 1012
+
+
+@pytest.mark.parametrize("mutation", ["formula_ignores_r",
+                                      "walk_uses_first_generator"])
+def test_double_coset_check_catches_mutations(mutation, monkeypatch):
+    """The check has teeth on both of its sides: a formula that conjugates
+    by the identity instead of r, and a direct walk that moves cosets by
+    the first generator of G only, each fail it on some catalog orbit."""
+    if mutation == "formula_ignores_r":
+        pullback = operads._pullback_orbit
+        monkeypatch.setattr(operads, "_pullback_orbit",
+                            lambda f, r, T: pullback(f, 0, T))
+    else:
+        monkeypatch.setattr(operads, "generators",
+                            lambda G: generators(G)[:1])
+    failed = {name for name, f, orb in catalog_orbits()
+              if not double_coset_check(
+                  f, SymmetricSequence(f.target, (orb,))).passed}
+    assert failed
 
 
 @pytest.mark.parametrize("name", ["C8_sub0_incl", "C2_into_C8",
                                   "C4_into_C8", "id_C8"])
-def test_coset_coded_pullback_matches_numbered_walk_at_level_8(
-        name, monkeypatch):
+def test_coset_coded_pullback_matches_numbered_walk_at_level_8(name):
     """The level-8 orbits of C8, which the walk over every code of
-    G' x Sigma_n reaches only over the guard (8 * 8! codes): one hom per
-    source order."""
-    monkeypatch.setattr(operads, "DEFAULT_LEVEL_GUARD", 400_000)
+    G' x Sigma_n reaches only over CODE_LIMIT (8 * 8! codes): one hom per
+    source order, against the flat-numbered and the coset-coded walks."""
     f = catalog_hom(name)
     level8 = {orb for t in enumerate_transfer_systems(f.target)
               for orb in free_model(t).orbits if orb.size == 8}
     assert level8
     for orb in level8:
-        assert _direct_pullback_labels(f, orb) \
-            == numbered_direct_pullback_labels(f, orb)
+        labels = _direct_pullback_labels(f, orb)
+        assert labels == numbered_direct_pullback_labels(f, orb, 400_000)
+        assert labels == coset_coded_direct_pullback_labels(f, orb, 400_000)
