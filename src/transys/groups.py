@@ -238,6 +238,18 @@ class Subgroup:
     def position(self) -> dict[int, int]:
         return {g: i for i, g in enumerate(self.members)}
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set: each member not in the span of the ones
+        before it, in ascending order; empty for the trivial subgroup."""
+        gens: list[int] = []
+        span = {0}
+        for g in self.members:
+            if g not in span:
+                gens.append(g)
+                span = generated_subgroup(self.group, gens).member_set
+        return tuple(gens)
+
     def __contains__(self, g: int) -> bool:
         return g in self.member_set
 
@@ -295,15 +307,8 @@ def generated_subgroup(G: Group, gens: Iterable[int]) -> Subgroup:
 
 
 def generators(G: Group) -> tuple[int, ...]:
-    """A generating set of G: each element not in the span of the ones
-    before it, in ascending order."""
-    gens: list[int] = []
-    span = {0}
-    for g in G.elements():
-        if g not in span:
-            gens.append(g)
-            span = generated_subgroup(G, gens).member_set
-    return tuple(gens)
+    """A generating set of G, that of its full subgroup."""
+    return full_subgroup(G).generators
 
 
 def all_subgroups(G: Group) -> tuple[Subgroup, ...]:

@@ -8,6 +8,7 @@ the transfer system, and that is all admissibility needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .functors import LawReport, image_L, image_R, preimage_L
@@ -60,10 +61,13 @@ class SymmetricSequence:
         if any(T.group != self.group for T in self.orbits):
             raise GroupError("orbit lives over another group")
 
-    def union(self, other: "SymmetricSequence") -> "SymmetricSequence":
-        if self.group != other.group:
-            raise GroupError("symmetric sequences live over different groups")
-        return SymmetricSequence(self.group, self.orbits + other.orbits)
+    # the orbits are immutable, so hash them once (as the dataclass would)
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.group, self.orbits))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def free_model(t: TransferSystem) -> SymmetricSequence:
@@ -75,21 +79,33 @@ def free_model(t: TransferSystem) -> SymmetricSequence:
         for k_id, h_id in t.pairs()))
 
 
-def symseq_transfer(S: SymmetricSequence) -> TransferSystem:
-    """Transfer system generated by the column (H, orbit stabilizers) of
-    each generator witness; equals the transfer system of the free marked
-    operad on S."""
+def _columns(S: SymmetricSequence) -> list[int]:
+    """Per subgroup id H, the mask of the stabilizers of S's orbits over H."""
     lat = lattice_of(S.group)
     columns = [0] * lat.count
     for T in S.orbits:
         columns[lat.id_of(T.subgroup)] |= T.stabilizer_mask
-    return generate_columns(lat, columns)
+    return columns
+
+
+def symseq_transfer(S: SymmetricSequence) -> TransferSystem:
+    """Transfer system generated by the column (H, orbit stabilizers) of
+    each generator witness; equals the transfer system of the free marked
+    operad on S."""
+    return generate_columns(lattice_of(S.group), _columns(S))
 
 
 def coproduct_join_check(S: SymmetricSequence, T: SymmetricSequence) -> LawReport:
-    """Generator-level content of 'coproducts realize joins'."""
-    combined = symseq_transfer(S.union(T))
-    expected = join(symseq_transfer(S), symseq_transfer(T))
+    """Generator-level content of 'coproducts realize joins'.
+
+    Each side's columns are read once.  S u T has the orbits of both, so
+    its columns are their OR, and the sum is never built."""
+    if S.group != T.group:
+        raise GroupError("symmetric sequences live over different groups")
+    lat = lattice_of(S.group)
+    cs, ct = _columns(S), _columns(T)
+    combined = generate_columns(lat, [a | b for a, b in zip(cs, ct)])
+    expected = join(generate_columns(lat, cs), generate_columns(lat, ct))
     report = LawReport("transfer(S u T) = transfer(S) v transfer(T)", 1)
     if combined != expected:
         report.counterexample = {"combined": combined.pairs(),

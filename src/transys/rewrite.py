@@ -840,11 +840,17 @@ def fixed_structure(pool: SymbolPool, t: Term, H: Subgroup
 
 def _exhibits(pool: SymbolPool, t: Term, structure: FiniteGSet) -> bool:
     """Whether t is fixed under the graph of an already validated action,
-    with exactly that action on its slots.  Rows equal to an action's rows
-    are an action, so no FiniteGSet is built."""
+    with exactly that action on its slots.
+
+    Only the generators of H are tried, or the identity when H is trivial.
+    A permutation from `fixed_perm` makes t linear, so it is the only pi
+    with h * t = t . pi, and (gh) * t = g * (t . pi_h) = t . (pi_g pi_h).
+    The h whose permutation equals their row are thus closed under
+    products, a subgroup, and holding the generators they are all of H.
+    """
     n = term_arity(t)
-    return all(fixed_perm(pool, t, h, n) == row
-               for h, row in zip(structure.subgroup.members, structure.act))
+    return all(fixed_perm(pool, t, h, n) == structure.act_of(h)
+               for h in structure.subgroup.generators or (0,))
 
 
 @dataclass
@@ -936,14 +942,23 @@ class WitnessFactory:
     sequences; hands out verified join witnesses pair by pair.
 
     The pool is the union of the two factor parts and the tables are
-    theirs, so a pair builds and validates nothing of its own.
+    theirs, so a pair builds and validates nothing of its own.  It keeps
+    one normalizer per mode.
+
+    A one-link witness is one generator of one factor table, so its term,
+    normal form and verdict depend on (table, pair, mode) alone.
+    ``verdicts`` maps those keys to (normal form, verified); a caller that
+    hands one dict to the factories of many pairs verifies each such
+    witness once.  Without one, the factory keeps its own.
     """
 
-    def __init__(self, S, T):
+    def __init__(self, S, T, verdicts: Optional[dict] = None):
         self.pool, x, y = _pair_parts(S, T)
         self.lat = lattice_of(S.group)
         self.table_x, self.table_y = x.table, y.table
         self.join = join(self.table_x.transfer, self.table_y.transfer)
+        self.verdicts = {} if verdicts is None else verdicts
+        self._normalizers: dict[str, Callable[[Term], Term]] = {}
 
     def _chain(self, k_id: int, h_id: int) -> list:
         """A shortest chain of generator pairs from k_id up to h_id, as
@@ -972,6 +987,14 @@ class WitnessFactory:
                 "join computation is inconsistent")
         return chains[h_id]
 
+    def _verdict(self, witness: Witness, mode: RewriteMode
+                 ) -> tuple[Term, bool]:
+        normal = self._normalizers.get(mode.kind)
+        if normal is None:
+            normal = self._normalizers[mode.kind] = _normalizer(self.pool, mode)
+        nf = normal(witness.term)
+        return nf, _exhibits(self.pool, nf, witness.structure)
+
     def witness(self, k_id: int, h_id: int, mode: RewriteMode
                 ) -> AdmissibilityWitness:
         if not self.join.has(k_id, h_id):
@@ -991,9 +1014,15 @@ class WitnessFactory:
                 if struct is None:
                     raise RewriteError("chain composite lost its fixedness")
                 witness = Witness(term, H, struct)
-        nf = _normalizer(self.pool, mode)(witness.term)
+        if len(chain) != 1:
+            nf, verified = self._verdict(witness, mode)
+        else:
+            key = (chain[0][2], k_id, h_id, mode.kind)
+            hit = self.verdicts.get(key)
+            if hit is None:
+                hit = self.verdicts[key] = self._verdict(witness, mode)
+            nf, verified = hit
         return AdmissibilityWitness((k_id, h_id), witness.term,
                                     witness.subgroup, witness.structure,
-                                    nf, mode.kind,
-                                    _exhibits(self.pool, nf, witness.structure))
+                                    nf, mode.kind, verified)
 

@@ -138,10 +138,12 @@ def suite_thmA_join(group: str = "C4",
 def suite_thmA_tensor(group: str = "C4",
                       budget: int = transfer.DEFAULT_BUDGET) -> SuiteReport:
     """Join pairs realized by fixed terms whose coproduct- and tensor-mode
-    normal forms stay fixed."""
+    normal forms stay fixed.  Each one-link witness is verified once per
+    run, whatever pair it serves."""
     report = SuiteReport("thmA-tensor", {"group": group})
+    verdicts: dict = {}
     for s, S, t, T in _model_pairs(group, budget):
-        factory = rewrite.WitnessFactory(S, T)
+        factory = rewrite.WitnessFactory(S, T, verdicts)
         for k_id, h_id in factory.join.pairs():
             for mode in (rewrite.COPRODUCT, rewrite.TENSOR):
                 w = factory.witness(k_id, h_id, mode)

@@ -379,9 +379,10 @@ def meet(s: TransferSystem, t: TransferSystem) -> TransferSystem:
 
 
 def join(s: TransferSystem, t: TransferSystem) -> TransferSystem:
-    """Least upper bound: the closure of the union."""
+    """Least upper bound: the closure of the union.  s is already closed,
+    so the closure starts from it and works through t's other pairs only."""
     _require_same_group(s, t)
-    return TransferSystem(s.group, _core(s.lattice).close(s.mask | t.mask),
+    return TransferSystem(s.group, _core(s.lattice).close(t.mask, s.mask),
                           s.lattice)
 
 

@@ -123,7 +123,7 @@ def test_orbits_sorted_stably_by_size():
             (k, h) for k, h in t.pairs()
             if lat.subgroups[h].order == n * lat.subgroups[k].order]
     R = free_model(enumerate_transfer_systems(D4)[42])
-    union = S.union(R).orbits
+    union = SymmetricSequence(D4, S.orbits + R.orbits).orbits
     assert [T.size for T in union] == sorted(T.size for T in union)
     for n in set(sizes):
         assert [T for T in union if T.size == n] == [

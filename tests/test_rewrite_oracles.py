@@ -881,6 +881,8 @@ def test_pair_pool_matches_per_pair_build(name):
             factory = WitnessFactory(S, T)
             oracle = copy.copy(factory)
             oracle.pool = seed
+            # normalizers bound to the seed pool, and verdicts of its own
+            oracle._normalizers, oracle.verdicts = {}, {}
             oracle.table_x = WitnessTable(seed, S, seed_x)
             oracle.table_y = WitnessTable(seed, T, seed_y)
             oracle.join = join(oracle.table_x.transfer, oracle.table_y.transfer)
