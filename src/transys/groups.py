@@ -336,8 +336,8 @@ def all_subgroups(G: Group) -> tuple[Subgroup, ...]:
 
 
 class SubgroupLattice:
-    """Cached subgroup data for a fixed group: ids, containment, meets and
-    the conjugation action."""
+    """Cached subgroup data for a fixed group: ids, containment, meets, the
+    conjugation action and, filled on first use, the coset H-sets H/K."""
 
     def __init__(self, group: Group):
         self.group = group
@@ -364,6 +364,19 @@ class SubgroupLattice:
             for g in group.elements()
         )
         self.trivial_id = self.index[(0,)]
+        self._cosets: dict[int, FiniteGSet] = {}
+
+    def coset_hset(self, h_id: int, k_id: int) -> "FiniteGSet":
+        """The transitive H-set H/K for subgroup ids K <= H, built on first
+        use and then shared, so every reader of it (free models, the
+        coinduced criterion) sees one object, whose stabilizer ids and
+        mask are worked out once."""
+        key = h_id * self.count + k_id
+        T = self._cosets.get(key)
+        if T is None:
+            T = self._cosets[key] = coset_hset(self.subgroups[h_id],
+                                               self.subgroups[k_id])
+        return T
 
     def id_of(self, s: Subgroup) -> int:
         return self.index[s.members]

@@ -69,43 +69,51 @@ class SymmetricSequence:
     def __hash__(self) -> int:
         return self._hash
 
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Per subgroup id H, the mask of the stabilizers of the orbits
+        over H (H's own bit only if some orbit is H/H)."""
+        lat = lattice_of(self.group)
+        columns = [0] * lat.count
+        for T in self.orbits:
+            columns[lat.id_of(T.subgroup)] |= T.stabilizer_mask
+        return tuple(columns)
+
+    @cached_property
+    def transfer_system(self) -> TransferSystem:
+        """Transfer system generated by the columns: that of the free
+        marked operad on this sequence.  Closed once, on first use."""
+        return generate_columns(lattice_of(self.group), self.columns)
+
 
 def free_model(t: TransferSystem) -> SymmetricSequence:
     """Free marked presentation of a transfer system: one free orbit
-    Gamma(H/K) per nontrivial related pair K -> H."""
+    Gamma(H/K) per nontrivial related pair K -> H, the H-set H/K being
+    the one the lattice shares."""
     lat = t.lattice
     return SymmetricSequence(t.group, tuple(
-        coset_hset(lat.subgroups[h_id], lat.subgroups[k_id])
-        for k_id, h_id in t.pairs()))
-
-
-def _columns(S: SymmetricSequence) -> list[int]:
-    """Per subgroup id H, the mask of the stabilizers of S's orbits over H."""
-    lat = lattice_of(S.group)
-    columns = [0] * lat.count
-    for T in S.orbits:
-        columns[lat.id_of(T.subgroup)] |= T.stabilizer_mask
-    return columns
+        lat.coset_hset(h_id, k_id) for k_id, h_id in t.pairs()))
 
 
 def symseq_transfer(S: SymmetricSequence) -> TransferSystem:
     """Transfer system generated by the column (H, orbit stabilizers) of
     each generator witness; equals the transfer system of the free marked
-    operad on S."""
-    return generate_columns(lattice_of(S.group), _columns(S))
+    operad on S.  It is the sequence's cached `transfer_system`."""
+    return S.transfer_system
 
 
 def coproduct_join_check(S: SymmetricSequence, T: SymmetricSequence) -> LawReport:
     """Generator-level content of 'coproducts realize joins'.
 
-    Each side's columns are read once.  S u T has the orbits of both, so
-    its columns are their OR, and the sum is never built."""
+    S u T has the orbits of both, so its columns are the OR of the two
+    sides' cached columns, and the sum is never built.  That OR is closed
+    once; each side's own system is closed once per sequence."""
     if S.group != T.group:
         raise GroupError("symmetric sequences live over different groups")
     lat = lattice_of(S.group)
-    cs, ct = _columns(S), _columns(T)
-    combined = generate_columns(lat, [a | b for a, b in zip(cs, ct)])
-    expected = join(generate_columns(lat, cs), generate_columns(lat, ct))
+    combined = generate_columns(lat, [a | b for a, b in zip(S.columns,
+                                                            T.columns)])
+    expected = join(S.transfer_system, T.transfer_system)
     report = LawReport("transfer(S u T) = transfer(S) v transfer(T)", 1)
     if combined != expected:
         report.counterexample = {"combined": combined.pairs(),
@@ -156,7 +164,7 @@ class CoindAsOperad:
             for k_id in lat.ids_below(h_id):
                 if k_id == h_id:
                     continue
-                if self.admits(H, coset_hset(H, lat.subgroups[k_id])):
+                if self.admits(H, lat.coset_hset(h_id, k_id)):
                     pairs.append((k_id, h_id))
         return validate(lat, rel_from_pairs(lat.count, pairs))
 
@@ -171,7 +179,7 @@ def coind_as_product_check(X: FiniteGSet, Y: FiniteGSet) -> LawReport:
     for h_id in range(lat.count):
         H = lat.subgroups[h_id]
         for k_id in lat.ids_below(h_id):
-            T = coset_hset(H, lat.subgroups[k_id])
+            T = lat.coset_hset(h_id, k_id)
             checked += 1
             if op_xy.admits(H, T) != (op_x.admits(H, T) and op_y.admits(H, T)):
                 return LawReport("admits(X u Y) = admits(X) and admits(Y)",

@@ -46,7 +46,6 @@ from .groups import (
     iso_key,
     lattice_of,
 )
-from .operads import symseq_transfer
 from .transfer import join
 
 
@@ -901,7 +900,7 @@ class WitnessTable:
 
     def __init__(self, pool: SymbolPool, symseq, base: dict):
         lat = lattice_of(symseq.group)
-        self.transfer = symseq_transfer(symseq)
+        self.transfer = symseq.transfer_system
         self.witnesses: dict[tuple[int, int], Witness] = {}
         for T in symseq.orbits:
             H = T.subgroup
@@ -949,7 +948,9 @@ class WitnessFactory:
     normal form and verdict depend on (table, pair, mode) alone.
     ``verdicts`` maps those keys to (normal form, verified); a caller that
     hands one dict to the factories of many pairs verifies each such
-    witness once.  Without one, the factory keeps its own.
+    witness once.  Without one, the factory keeps its own.  A chain of
+    other than one link is composed and validated once per pair, for
+    both modes; only its verdict is per mode.
     """
 
     def __init__(self, S, T, verdicts: Optional[dict] = None):
@@ -959,6 +960,7 @@ class WitnessFactory:
         self.join = join(self.table_x.transfer, self.table_y.transfer)
         self.verdicts = {} if verdicts is None else verdicts
         self._normalizers: dict[str, Callable[[Term], Term]] = {}
+        self._chain_witnesses: dict[tuple[int, int], Witness] = {}
 
     def _chain(self, k_id: int, h_id: int) -> list:
         """A shortest chain of generator pairs from k_id up to h_id, as
@@ -995,11 +997,15 @@ class WitnessFactory:
         nf = normal(witness.term)
         return nf, _exhibits(self.pool, nf, witness.structure)
 
-    def witness(self, k_id: int, h_id: int, mode: RewriteMode
-                ) -> AdmissibilityWitness:
-        if not self.join.has(k_id, h_id):
-            raise RewriteError(f"pair ({k_id},{h_id}) is not in the join")
-        chain = self._chain(k_id, h_id)
+    def _witness(self, k_id: int, h_id: int, chain: list) -> Witness:
+        """The witness of a join pair along its chain, with its validated
+        H-set; neither depends on the mode, so a chain of other than one
+        link is composed and validated once per pair."""
+        if len(chain) == 1:
+            return chain[0][2].witness(k_id, h_id)
+        witness = self._chain_witnesses.get((k_id, h_id))
+        if witness is not None:
+            return witness
         if not chain:
             H = self.lat.subgroups[h_id]
             witness = Witness(Var(1), H, fixed_structure(self.pool, Var(1), H))
@@ -1014,6 +1020,15 @@ class WitnessFactory:
                 if struct is None:
                     raise RewriteError("chain composite lost its fixedness")
                 witness = Witness(term, H, struct)
+        self._chain_witnesses[(k_id, h_id)] = witness
+        return witness
+
+    def witness(self, k_id: int, h_id: int, mode: RewriteMode
+                ) -> AdmissibilityWitness:
+        if not self.join.has(k_id, h_id):
+            raise RewriteError(f"pair ({k_id},{h_id}) is not in the join")
+        chain = self._chain(k_id, h_id)
+        witness = self._witness(k_id, h_id, chain)
         if len(chain) != 1:
             nf, verified = self._verdict(witness, mode)
         else:

@@ -150,9 +150,12 @@ class TransferSystem:
 
     @property
     def rel(self) -> Rel:
-        """The reflexive relation matrix, derived from the mask."""
-        n = range(self.lattice.count)
-        return tuple(tuple(self.has(i, j) for j in n) for i in n)
+        """The reflexive relation matrix, derived from the mask: row i is
+        the n bits from bit i * n on, with the diagonal bit set."""
+        n, mask = self.lattice.count, self.mask
+        full, bits = (1 << n) - 1, [1 << j for j in range(n)]
+        rows = ((mask >> i * n) & full | bits[i] for i in range(n))
+        return tuple(tuple([row & b != 0 for b in bits]) for row in rows)
 
     def __repr__(self) -> str:
         return f"TransferSystem({self.group.name}, {self.pairs()})"

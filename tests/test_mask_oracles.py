@@ -1,9 +1,9 @@
 """Admissibility as a mask test against the pair-by-pair code it replaced.
 
 The oracles are the earlier implementations: `admits` as one
-`TransferSystem.has` call per orbit stabilizer, and `symseq_transfer` and
-`generated_transfer` as a set of pairs (orbit stabilizer, H) closed by
-`generate_pairs`.
+`TransferSystem.has` call per orbit stabilizer, `TransferSystem.rel` as one
+`has` call per entry, and `symseq_transfer` and `generated_transfer` as a
+set of pairs (orbit stabilizer, H) closed by `generate_pairs`.
 """
 
 import pytest
@@ -26,11 +26,19 @@ from transys.transfer import (
 
 ADMITS_GROUPS = ("C4", "K4", "S3", "D4", "C6", "C2xC4")
 UNION_GROUPS = ("C4", "K4", "S3")
+#: the groups whose lattices the benchmark's `lattice` workload enumerates
+REL_GROUPS = ("C8", "C9", "C16", "C6", "C12", "C18", "K4", "S3", "D5",
+              "C3xC3", "C2xC4", "D4")
 
 
 def old_admits(t, H, T):
     h_id = t.lattice.id_of(H)
     return all(t.has(k, h_id) for k in T.stabilizer_ids)
+
+
+def old_rel(t):
+    n = range(t.lattice.count)
+    return tuple(tuple(t.has(i, j) for j in n) for i in n)
 
 
 def old_symseq_transfer(S):
@@ -55,6 +63,16 @@ def test_columns_match_has(name):
         assert t.columns == tuple(
             sum(1 << k for k in range(lat.count) if t.has(k, h))
             for h in range(lat.count))
+
+
+@pytest.mark.parametrize("name", REL_GROUPS)
+def test_rel_rows_from_the_mask_match_has(name):
+    """Every system: the matrix read row by row from the mask, against
+    one `has` call per entry."""
+    for t in enumerate_transfer_systems(group_by_name(name)):
+        rel = t.rel
+        assert rel == old_rel(t)
+        assert all(type(x) is bool for row in rel for x in row)
 
 
 @pytest.mark.parametrize("name", ADMITS_GROUPS)

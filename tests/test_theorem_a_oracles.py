@@ -5,6 +5,13 @@ here as oracles:
 - the coproduct join check on the sum S u T (`union_coproduct_join_check`,
   built on `union`), where `coproduct_join_check` ORs the two sides'
   columns;
+- the coproduct join check reading each side's columns and closing each
+  side inside the call (`per_call_coproduct_join_check`), where
+  `coproduct_join_check` reads the columns and systems each sequence
+  caches;
+- the free model building a fresh `coset_hset` for every pair
+  (`fresh_free_model`), where `free_model` reads the H-sets H/K that the
+  subgroup lattice shares;
 - the join as the closure of the union of both masks (`union_join`),
   where `join` closes t onto the already closed s;
 - the join witness normalized and verified afresh for every pair and
@@ -12,8 +19,9 @@ here as oracles:
   verdict per one-link witness across a run;
 - the ascending generator loop over a whole group (`group_generators`),
   where `generators(G)` reads `Subgroup.generators`.
-Each is compared on every case of C4, K4 and S3 and on a seeded D4 slice,
-and two mutations show the comparisons have teeth."""
+Each is compared on every case of C4, K4 and S3 and on a seeded D4 slice
+(the free model and the coproduct check also on every system of D4 and
+C2xC4), and mutations show the comparisons have teeth."""
 
 import functools
 import random
@@ -24,11 +32,14 @@ import pytest
 
 from transys.catalog import catalog_homs, group_by_name
 from transys.functors import LawReport
+from transys import operads
 from transys.groups import (
     FiniteGSet,
     GroupError,
     Subgroup,
+    SubgroupLattice,
     compose,
+    coset_hset,
     full_subgroup,
     generated_subgroup,
     generators,
@@ -67,6 +78,7 @@ from transys.transfer import (
     _core,
     _require_same_group,
     enumerate_transfer_systems,
+    generate_columns,
     join,
 )
 
@@ -126,6 +138,39 @@ def union_coproduct_join_check(S, T):
         report.counterexample = {"combined": combined.pairs(),
                                  "join": expected.pairs()}
     return report
+
+
+def _columns(S):
+    """`SymmetricSequence.columns` as a list built afresh per call."""
+    lat = lattice_of(S.group)
+    columns = [0] * lat.count
+    for T in S.orbits:
+        columns[lat.id_of(T.subgroup)] |= T.stabilizer_mask
+    return columns
+
+
+def per_call_coproduct_join_check(S, T):
+    """`coproduct_join_check` reading both sides' columns and closing each
+    side inside the call: nothing is cached on the sequences."""
+    if S.group != T.group:
+        raise GroupError("symmetric sequences live over different groups")
+    lat = lattice_of(S.group)
+    cs, ct = _columns(S), _columns(T)
+    combined = generate_columns(lat, [a | b for a, b in zip(cs, ct)])
+    expected = join(generate_columns(lat, cs), generate_columns(lat, ct))
+    report = LawReport("transfer(S u T) = transfer(S) v transfer(T)", 1)
+    if combined != expected:
+        report.counterexample = {"combined": combined.pairs(),
+                                 "join": expected.pairs()}
+    return report
+
+
+def fresh_free_model(t):
+    """`free_model` building and validating a fresh H/K for every pair."""
+    lat = t.lattice
+    return SymmetricSequence(t.group, tuple(
+        coset_hset(lat.subgroups[h_id], lat.subgroups[k_id])
+        for k_id, h_id in t.pairs()))
 
 
 def union_join(s, t):
@@ -298,10 +343,89 @@ def test_coproduct_join_check_matches_union_oracle(name):
             assert got.passed and got.checked == 1
 
 
+@pytest.mark.parametrize("name", sorted(SLICES))
+def test_coproduct_join_check_matches_per_call_oracle(name):
+    """Every pair of systems, each side's free model built fresh for the
+    oracle, so no cached column or system reaches it."""
+    systems = _systems(name)
+    fresh = [fresh_free_model(s) for s in systems]
+    for S, F in zip(_models(name), fresh):
+        for T, G in zip(_models(name), fresh):
+            assert coproduct_join_check(S, T) == \
+                per_call_coproduct_join_check(F, G)
+
+
+@pytest.mark.parametrize("name", ["D4", "C2xC4"])
+def test_free_model_and_check_match_oracles_on_every_system(name):
+    """Every system: its free model, columns and system against the fresh
+    oracles, and the check against the bottom, the top and itself."""
+    systems = enumerate_transfer_systems(group_by_name(name))
+    models = [free_model(s) for s in systems]
+    fresh = [fresh_free_model(s) for s in systems]
+    ends = [(models[0], fresh[0]), (models[-1], fresh[-1])]
+    for s, S, F in zip(systems, models, fresh):
+        assert S == F
+        assert S.columns == tuple(_columns(F))
+        assert symseq_transfer(S) is S.transfer_system
+        assert S.transfer_system == generate_columns(s.lattice,
+                                                     _columns(F)) == s
+        for T, G in ends + [(S, F)]:
+            got = coproduct_join_check(S, T)
+            assert got == per_call_coproduct_join_check(F, G)
+            assert got.passed
+
+
+@pytest.mark.parametrize("name", ["C4", "K4", "S3", "D4"])
+def test_free_models_share_each_coset_hset(name):
+    """Two free models with a pair in common hold the same H/K object, the
+    one the lattice keeps; the fresh oracle builds a new one each time."""
+    lat = lattice_of(group_by_name(name))
+    seen = {}
+    shared = 0
+    for s in enumerate_transfer_systems(lat.group):
+        for T in free_model(s).orbits:
+            key = (T.stabilizer_ids[0], lat.id_of(T.subgroup))
+            shared += key in seen
+            assert seen.setdefault(key, T) is T
+            assert lat.coset_hset(key[1], key[0]) is T
+        for T in fresh_free_model(s).orbits:
+            key = (T.stabilizer_ids[0], lat.id_of(T.subgroup))
+            assert T == seen[key] and T is not seen[key]
+    assert shared and len(seen) == len(_core(lat).ids)
+
+
+@pytest.mark.parametrize("name", sorted(SLICES))
+def test_coset_table_keyed_by_h_alone_is_caught(name, monkeypatch):
+    """A table that keeps one H-set per H hands H/K to every pair K < H."""
+    table = {}
+
+    def by_h(lat, h_id, k_id):
+        key = (id(lat), h_id)
+        if key not in table:
+            table[key] = coset_hset(lat.subgroups[h_id], lat.subgroups[k_id])
+        return table[key]
+
+    monkeypatch.setattr(SubgroupLattice, "coset_hset", by_h)
+    assert any(free_model(s) != fresh_free_model(s) for s in _systems(name))
+
+
+@pytest.mark.parametrize("name", sorted(SLICES))
+def test_check_joining_one_side_with_itself_is_caught(name, monkeypatch):
+    """A check that joins S's system with itself compares transfer(S u T)
+    with transfer(S), which differ whenever T adds a pair."""
+    monkeypatch.setattr(operads, "join", lambda s, t: join(s, s))
+    systems = _systems(name)
+    fresh = [fresh_free_model(s) for s in systems]
+    assert any(coproduct_join_check(S, T) != per_call_coproduct_join_check(F, G)
+               for S, F in zip(_models(name), fresh)
+               for T, G in zip(_models(name), fresh))
+
+
 def test_coproduct_join_check_rejects_mismatched_groups():
     S = free_model(enumerate_transfer_systems(group_by_name("C4"))[-1])
     T = free_model(enumerate_transfer_systems(group_by_name("K4"))[-1])
-    for check in (coproduct_join_check, union_coproduct_join_check):
+    for check in (coproduct_join_check, union_coproduct_join_check,
+                  per_call_coproduct_join_check):
         with pytest.raises(GroupError, match="different groups"):
             check(S, T)
 
@@ -369,6 +493,26 @@ def test_shared_verdicts_match_per_pair_path(name):
     # the one-link witnesses it served
     assert 0 < len(verdicts) < 2 * one_link
     assert all(v[1] for v in verdicts.values())
+
+
+@pytest.mark.parametrize("name", sorted(SLICES))
+def test_chain_witness_built_once_for_both_modes(name):
+    """A multi-link chain's term and validated H-set are built once per
+    pair and handed to both modes; the verdicts stay per mode."""
+    chains = 0
+    for S in _models(name):
+        for T in _models(name):
+            factory = WitnessFactory(S, T)
+            for k_id, h_id in factory.join.pairs():
+                if len(factory._chain(k_id, h_id)) < 2:
+                    continue
+                chains += 1
+                co = factory.witness(k_id, h_id, COPRODUCT)
+                ten = factory.witness(k_id, h_id, TENSOR)
+                assert co.term is ten.term
+                assert co.structure is ten.structure
+                assert (co.mode, ten.mode) == (COPRODUCT.kind, TENSOR.kind)
+    assert chains
 
 
 @pytest.mark.parametrize("name", sorted(SLICES))
