@@ -14,7 +14,6 @@ from .groups import (
     bang_hom,
     cyclic_group,
     cyclic_hom,
-    dihedral_group,
     direct_product,
     identity_hom,
     inclusion_hom,
@@ -23,9 +22,9 @@ from .groups import (
     symmetric_group,
 )
 
-_CYCLIC_RE = re.compile(r"C(\d+)$")
-_SYMMETRIC_RE = re.compile(r"S(\d+)$")
-_DIHEDRAL_RE = re.compile(r"D(\d+)$")
+#: Cn, Sn and Dn, by the letter before the number
+_NAMED_RE = re.compile(r"([CSD])(\d+)$")
+_NAMED_KINDS = {"C": "cyclic", "S": "symmetric", "D": "dihedral"}
 
 #: groups the verification suites range over by default
 ACCEPTANCE_GROUPS = ("C4", "C8", "K4", "S3")
@@ -42,15 +41,9 @@ def group_by_name(name: str) -> Group:
         return grp
     if name == "K4":
         return klein_four_group()
-    m = _CYCLIC_RE.fullmatch(name)
+    m = _NAMED_RE.fullmatch(name)
     if m:
-        return cyclic_group(int(m.group(1)))
-    m = _SYMMETRIC_RE.fullmatch(name)
-    if m:
-        return symmetric_group(int(m.group(1)))
-    m = _DIHEDRAL_RE.fullmatch(name)
-    if m:
-        return dihedral_group(int(m.group(1)))
+        return make_group(_NAMED_KINDS[m.group(1)], int(m.group(2)))
     raise GroupError(f"unknown group name {name!r}")
 
 

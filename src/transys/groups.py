@@ -181,25 +181,19 @@ def direct_product(g: Group, h: Group, name: Optional[str] = None) -> Group:
 def make_group(kind: str, n: Optional[int] = None,
                factors: Optional[tuple[Group, Group]] = None) -> Group:
     """Catalog constructor covering the groups the test plan runs on."""
-    if kind == "cyclic":
-        if n is None:
-            raise GroupError("cyclic requires n")
-        return cyclic_group(n)
     if kind == "klein_four":
         return klein_four_group()
-    if kind == "symmetric":
-        if n is None:
-            raise GroupError("symmetric requires n")
-        return symmetric_group(n)
-    if kind == "dihedral":
-        if n is None:
-            raise GroupError("dihedral requires n")
-        return dihedral_group(n)
     if kind == "direct_product":
         if not factors or len(factors) != 2:
             raise GroupError("direct_product requires two factor groups")
         return direct_product(*factors)
-    raise GroupError(f"unknown group kind {kind!r}")
+    build = {"cyclic": cyclic_group, "symmetric": symmetric_group,
+             "dihedral": dihedral_group}.get(kind)
+    if build is None:
+        raise GroupError(f"unknown group kind {kind!r}")
+    if n is None:
+        raise GroupError(f"{kind} requires n")
+    return build(n)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +301,8 @@ def generated_subgroup(G: Group, gens: Iterable[int]) -> Subgroup:
 
 
 def generators(G: Group) -> tuple[int, ...]:
-    """A generating set of G, that of its full subgroup."""
-    return full_subgroup(G).generators
+    """A generating set of G, that of its full subgroup in the lattice."""
+    return lattice_of(G).subgroups[-1].generators
 
 
 def all_subgroups(G: Group) -> tuple[Subgroup, ...]:
@@ -337,7 +331,8 @@ def all_subgroups(G: Group) -> tuple[Subgroup, ...]:
 
 class SubgroupLattice:
     """Cached subgroup data for a fixed group: ids, containment, meets, the
-    conjugation action and, filled on first use, the coset H-sets H/K."""
+    conjugation action and, filled on first use, the coset H-sets H/K, the
+    H-class representatives and the orbit types of H-sets."""
 
     def __init__(self, group: Group):
         self.group = group
@@ -387,10 +382,56 @@ class SubgroupLattice:
     def ids_below(self, j: int) -> list[int]:
         return [i for i in range(self.count) if self.leq[i][j]]
 
+    @cached_property
+    def hclass_reps(self) -> tuple[tuple[int, ...], ...]:
+        """Per pair of ids (h, s), the least id over the conjugates of s by
+        the elements of h; built on first use."""
+        conj = self.conj_table
+        return tuple(tuple(map(min, zip(*[conj[g] for g in H.members])))
+                     for H in self.subgroups)
+
     def hclass_rep(self, h_id: int, s_id: int) -> int:
         """Min id over the conjugates of subgroup s by elements of subgroup h."""
-        H = self.subgroups[h_id]
-        return min(self.conj_table[g][s_id] for g in H.members)
+        return self.hclass_reps[h_id][s_id]
+
+    @cached_property
+    def conj_actions(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct rows of conj_table, one per conjugation action."""
+        return tuple(dict.fromkeys(self.conj_table))
+
+    def graph_label(self, n: int, h_id: int, stabs: Sequence[int]):
+        """Canonical label, up to conjugacy in G x Sigma_n, of the graph
+        {(h, sigma_T(h))} of an n-point H-set T with these orbit stabilizer
+        ids: the least (id of H^g, orbit type of T^g) over g in G, since the
+        stabilizers of T^g are those of T conjugated by g."""
+        reps = self.hclass_reps
+        return (n, min((c[h_id], tuple(sorted([reps[c[h_id]][c[k]]
+                                                for k in stabs])))
+                       for c in self.conj_actions))
+
+    def restricted_stabilizers(self, x: int, m: int, ks: Iterable[int]
+                               ) -> list[int]:
+        """Orbit stabilizer ids of the X-set X/K_1 + X/K_2 + ... restricted
+        to M <= X, by the double-coset formula: one M & sKs^-1 per K and
+        per s in M\\X/K."""
+        mul, M = self.group.mul, self.subgroups[m].members
+        out = []
+        for k in ks:
+            K, covered = self.subgroups[k].members, set()
+            for s in self.subgroups[x].members:
+                if s not in covered:
+                    covered.update([mul[mul[a][s]][b] for a in M for b in K])
+                    out.append(self.meet_table[m][self.conj_table[s][k]])
+        return out
+
+    @cached_property
+    def orbit_type_masks(self) -> tuple[tuple[tuple[tuple, int], ...], ...]:
+        """Per subgroup id H, each orbit type of H-sets of at most |G|
+        points with the mask of its stabilizer ids; built on first use."""
+        return tuple(tuple((key, id_mask(key))
+                           for n in range(self.group.order + 1)
+                           for key in orbit_types(self, h_id, n))
+                     for h_id in range(self.count))
 
 
 @lru_cache(maxsize=None)
@@ -447,9 +488,6 @@ class Homomorphism:
         return tuple(lat.id_of_members(a for a in self.source.elements()
                                        if self.map[a] in H.member_set)
                      for H in lattice_of(self.target).subgroups)
-
-    def image(self) -> Subgroup:
-        return Subgroup(self.target, tuple(set(self.map)))
 
     def image_subgroup(self, H: Subgroup) -> Subgroup:
         if H.group != self.source:
@@ -695,21 +733,18 @@ def orbit_types(lat: SubgroupLattice, h_id: int, n: int
     """
     if n < 0:
         raise GroupError("size must be nonnegative")
-    reps = sorted({lat.hclass_rep(h_id, i) for i in lat.ids_below(h_id)})
-    order = lat.subgroups[h_id].order
-    sizes = [order // lat.subgroups[k].order for k in reps]
-    out = []
-
-    def rec(i: int, remaining: int, key: tuple[int, ...]) -> None:
-        if i == len(reps):
-            if remaining == 0:
-                out.append(key)
-            return
-        for count in range(remaining // sizes[i] + 1):
-            rec(i + 1, remaining - count * sizes[i], key + (reps[i],) * count)
-
-    rec(0, n, ())
-    return out
+    # not read from hclass_reps, which a set of H-sets leaves unbuilt
+    members = lat.subgroups[h_id].members
+    reps = sorted({min(lat.conj_table[g][i] for g in members)
+                   for i in lat.ids_below(h_id)})
+    # keys[m]: the types of m points over the classes taken so far; the
+    # last class is taken first, so the count of the first varies slowest
+    keys = [[()]] + [[] for _ in range(n)]
+    for k in reversed(reps):
+        size = len(members) // lat.subgroups[k].order
+        for m in range(size, n + 1):
+            keys[m] += [(k,) + key for key in keys[m - size]]
+    return keys[n]
 
 
 def hsets_up_to_iso(H: Subgroup, n: int) -> tuple[FiniteGSet, ...]:
@@ -718,20 +753,3 @@ def hsets_up_to_iso(H: Subgroup, n: int) -> tuple[FiniteGSet, ...]:
     lat = lattice_of(H.group)
     return tuple(hset_of_orbits(H, [lat.subgroups[k] for k in key])
                  for key in orbit_types(lat, lat.id_of(H), n))
-
-
-# ---------------------------------------------------------------------------
-# graph subgroups of G x Sigma_n
-
-
-def graph_conjugacy_label(T: FiniteGSet):
-    """Canonical label, up to conjugacy in G x Sigma_n, of the graph
-    {(h, sigma_T(h))} of an H-set T: the least (id of H^g, orbit type of
-    T^g) over g in G, read from lattice ids, since the stabilizers of T^g
-    are those of T conjugated by g."""
-    lat = lattice_of(T.group)
-    h = lat.id_of(T.subgroup)
-    stabs = T.stabilizer_ids
-    return (T.size, min((c[h], tuple(sorted(lat.hclass_rep(c[h], c[k])
-                                            for k in stabs)))
-                        for c in lat.conj_table))

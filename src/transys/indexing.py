@@ -15,10 +15,8 @@ from .groups import (
     GroupError,
     Subgroup,
     SubgroupLattice,
-    double_cosets,
     id_mask,
     lattice_of,
-    orbit_types,
 )
 from .transfer import TransferSystem, generate_columns
 
@@ -68,24 +66,17 @@ def admissible_sets_of_symseq(symseq) -> AdmissibleClass:
     types without building an action table.  A size that no orbit has
     admits nothing.
     """
-    G = symseq.group
-    lat = lattice_of(G)
+    lat = lattice_of(symseq.group)
     entries = set()
     for T_H in symseq.orbits:
         h_id = lat.id_of(T_H.subgroup)
         stabs = T_H.stabilizer_ids
         for gh, gks in {(c[h_id], tuple(c[k] for k in stabs))
                         for c in lat.conj_table}:
-            Hg = lat.subgroups[gh]
             for l_id in lat.ids_below(gh):
-                L = lat.subgroups[l_id]
-                key = sorted(
-                    lat.hclass_rep(l_id, lat.meet_table[l_id][
-                        lat.conj_table[r][k]])
-                    for k in gks
-                    for r in double_cosets(G, L, lat.subgroups[k])
-                    if r in Hg)
-                entries.add((l_id, tuple(key)))
+                entries.add((l_id, tuple(sorted(
+                    lat.hclass_rep(l_id, k)
+                    for k in lat.restricted_stabilizers(gh, l_id, gks)))))
     return AdmissibleClass(lat, frozenset(entries))
 
 
@@ -101,12 +92,10 @@ def generated_transfer(cls: AdmissibleClass) -> TransferSystem:
 def admissible_class_of_transfer(t: TransferSystem) -> AdmissibleClass:
     """The admissible H-sets of a transfer system with at most |G| points.
 
-    Decided on orbit types alone, each by one mask test against a column.
+    Decided on the lattice's table of orbit types, each by one mask test
+    against a column.
     """
     lat, cols = t.lattice, t.columns
-    entries = {(h_id, key)
-               for h_id in range(lat.count)
-               for n in range(lat.group.order + 1)
-               for key in orbit_types(lat, h_id, n)
-               if not id_mask(key) & ~cols[h_id]}
-    return AdmissibleClass(lat, frozenset(entries))
+    return AdmissibleClass(lat, frozenset(
+        (h_id, key) for h_id, types in enumerate(lat.orbit_type_masks)
+        for key, mask in types if not mask & ~cols[h_id]))

@@ -24,7 +24,6 @@ from .groups import (
     double_cosets,
     full_subgroup,
     generators,
-    graph_conjugacy_label,
     identity_perm,
     inclusion_hom,
     lattice_of,
@@ -147,37 +146,26 @@ class CoindAsOperad:
         act as the identity on T."""
         if T.subgroup != H:
             raise GroupError("T must be an H-set")
-        n = T.size
-        for h in H.members:
-            row = self.xset.act_of(h)
-            if any(row[x] == x for x in range(self.xset.size)):
-                if T.act_of(h) != identity_perm(n):
-                    return False
-        return True
+        fixing = [h for h in H.members
+                  if any(i == x for x, i in enumerate(self.xset.act_of(h)))]
+        return all(T.act_of(h) == identity_perm(T.size) for h in fixing)
 
     def transfer(self) -> TransferSystem:
         """Transfer system read off the criterion over all orbit pairs."""
         lat = lattice_of(self.group)
-        pairs = []
-        for h_id in range(lat.count):
-            H = lat.subgroups[h_id]
-            for k_id in lat.ids_below(h_id):
-                if k_id == h_id:
-                    continue
-                if self.admits(H, lat.coset_hset(h_id, k_id)):
-                    pairs.append((k_id, h_id))
+        pairs = [(k_id, h_id) for h_id in range(lat.count)
+                 for k_id in lat.ids_below(h_id) if k_id != h_id
+                 and self.admits(lat.subgroups[h_id], lat.coset_hset(h_id, k_id))]
         return validate(lat, rel_from_pairs(lat.count, pairs))
 
 
 def coind_as_product_check(X: FiniteGSet, Y: FiniteGSet) -> LawReport:
     """Products realize meets, checked through the admits criterion."""
-    op_x = CoindAsOperad(X)
-    op_y = CoindAsOperad(Y)
+    op_x, op_y = CoindAsOperad(X), CoindAsOperad(Y)
     op_xy = CoindAsOperad(X.disjoint_union(Y))
     lat = lattice_of(X.group)
     checked = 0
-    for h_id in range(lat.count):
-        H = lat.subgroups[h_id]
+    for h_id, H in enumerate(lat.subgroups):
         for k_id in lat.ids_below(h_id):
             T = lat.coset_hset(h_id, k_id)
             checked += 1
@@ -199,32 +187,49 @@ def coind_as_product_check(X: FiniteGSet, Y: FiniteGSet) -> LawReport:
 
 def _pullback_orbit(f: Homomorphism, r: int, T: FiniteGSet) -> FiniteGSet:
     """Predicted summand for double-coset representative r: the
-    conjugated, restricted witness pulled back along f."""
-    G = f.source
+    conjugated witness pulled back along f to L = f^-1(rHr^-1)."""
     conj = T.conjugate(r)                  # rHr^-1 acting
-    Hr = conj.subgroup
-    L_members = [g for g in G.elements() if f.map[g] in Hr.member_set]
-    L = Subgroup(G, tuple(L_members))
-    rows = tuple(conj.act_of(f.map[g]) for g in L.members)
-    return FiniteGSet(L, conj.size, rows)
+    L = lattice_of(f.source).subgroups[
+        f.preimage_ids[lattice_of(f.target).id_of(conj.subgroup)]]
+    return FiniteGSet(L, conj.size,
+                      tuple(conj.act_of(f.map[g]) for g in L.members))
 
 
 def restrict_symseq_predicted(f: Homomorphism, S: SymmetricSequence
                               ) -> SymmetricSequence:
     """Levelwise pullback along f, decomposed by the double-coset formula:
     one summand per representative of im(f)\\G'/H."""
-    G = f.source
-    Gp = f.target
-    if S.group != Gp:
+    if S.group != f.target:
         raise GroupError("sequence lives on the wrong group for restriction")
-    imf = f.image()
-    return SymmetricSequence(G, tuple(
+    imf = lattice_of(f.target).subgroups[f.image_ids[-1]]
+    return SymmetricSequence(f.source, tuple(
         _pullback_orbit(f, r, T) for T in S.orbits
-        for r in double_cosets(Gp, imf, T.subgroup)))
+        for r in double_cosets(f.target, imf, T.subgroup)))
+
+
+def _pullback_label(f: Homomorphism, r: int, T: FiniteGSet):
+    """Graph label of `_pullback_orbit(f, r, T)`, read off the lattices by
+    the double-coset formula: T restricted to M = f(G) & rHr^-1 through
+    conjugation by r, pulled back along f to L = f^-1(rHr^-1).  An orbit
+    of stabilizer M & sKs^-1 pulls back to one of stabilizer f^-1(sKs^-1)."""
+    lat, pre = lattice_of(f.target), f.preimage_ids
+    conj = lat.conj_table[r]
+    hr = conj[lat.id_of(T.subgroup)]
+    stabs = lat.restricted_stabilizers(hr, lat.meet_table[f.image_ids[-1]][hr],
+                                       [conj[k] for k in T.stabilizer_ids])
+    return lattice_of(f.source).graph_label(T.size, pre[hr],
+                                            [pre[k] for k in stabs])
+
+
+def _predicted_labels(f: Homomorphism, T: FiniteGSet) -> list:
+    """The summand labels of one free orbit, one per r in im(f)\\G'/H."""
+    imf = lattice_of(f.target).subgroups[f.image_ids[-1]]
+    return sorted(_pullback_label(f, r, T)
+                  for r in double_cosets(f.target, imf, T.subgroup))
 
 
 def _direct_pullback_labels(f: Homomorphism, T: FiniteGSet) -> list:
-    """Orbit stabilizer labels of the direct pullback of one free orbit.
+    """Orbit graph labels of the direct pullback of one free orbit.
 
     Lets G x Sigma_n act on (G' x Sigma_n)/Gamma through f x id, splits
     it into orbits, and reads off each representative's stabilizer
@@ -236,10 +241,12 @@ def _direct_pullback_labels(f: Homomorphism, T: FiniteGSet) -> list:
     i, and a generator g of G moves block i to block j where
     f(g) b_i = b_j h.  The orbits are therefore those of f(G) on G'/H,
     and each is read at (b_i, identity) for its least i: the g with
-    f(g) b_i = b_i h, paired with sigma_h.
+    f(g) b_i = b_i h, paired with sigma_h.  Their ids, and those of the
+    point stabilizers of that action on T, are read from the rows.
     """
-    G, H = f.source, T.subgroup
-    reps, table = coset_action(f.target, f.target.elements(), H)
+    G, n = f.source, T.size
+    lat = lattice_of(G)
+    reps, table = coset_action(f.target, f.target.elements(), T.subgroup)
     gen_rows = [table[f.map[g]] for g in generators(G)]
     seen: set[int] = set()
     labels = []
@@ -247,34 +254,33 @@ def _direct_pullback_labels(f: Homomorphism, T: FiniteGSet) -> list:
         if i in seen:
             continue
         seen.update(reach(i, lambda p: [row[p][0] for row in gen_rows]))
-        members, rows = [], []
-        for g in G.elements():
-            j, h = table[f.map[g]][i]
-            if j == i:
-                members.append(g)
-                rows.append(T.act_of(h))
-        labels.append(graph_conjugacy_label(
-            FiniteGSet(Subgroup(G, tuple(members)), T.size, rows)))
+        rows = [(g, T.act_of(h)) for g in G.elements()
+                for j, h in [table[f.map[g]][i]] if j == i]
+        stabs, covered = [], set()
+        for x in range(n):
+            if x not in covered:
+                covered.update([row[x] for _, row in rows])
+                stabs.append(lat.id_of_members(
+                    [g for g, row in rows if row[x] == x]))
+        labels.append(lat.graph_label(
+            n, lat.id_of_members([g for g, _ in rows]), stabs))
     return sorted(labels)
 
 
 def double_coset_check(f: Homomorphism, S: SymmetricSequence) -> LawReport:
     """Predicted summand stabilizers versus the direct pullback, orbit by
     orbit, compared up to conjugacy in G x Sigma_n."""
-    checked = 0
-    imf = f.image()
-    for T in S.orbits:
-        checked += 1
-        predicted = sorted(
-            graph_conjugacy_label(_pullback_orbit(f, r, T))
-            for r in double_cosets(f.target, imf, T.subgroup))
+    if S.group != f.target:
+        raise GroupError("sequence lives on the wrong group for restriction")
+    for checked, T in enumerate(S.orbits, 1):
+        predicted = _predicted_labels(f, T)
         direct = _direct_pullback_labels(f, T)
         if predicted != direct:
             return LawReport("double-coset decomposition", checked,
                              {"level": T.size,
                               "predicted": [str(p) for p in predicted],
                               "direct": [str(d) for d in direct]})
-    return LawReport("double-coset decomposition", checked)
+    return LawReport("double-coset decomposition", len(S.orbits))
 
 
 def induce_symseq(m: Homomorphism, S: SymmetricSequence) -> SymmetricSequence:
@@ -287,12 +293,9 @@ def induce_symseq(m: Homomorphism, S: SymmetricSequence) -> SymmetricSequence:
     if S.group != m.source:
         raise GroupError("sequence lives on the wrong group for induction")
     back = {m.map[a]: a for a in m.source.elements()}
-    induced = []
-    for T in S.orbits:
-        image = m.image_subgroup(T.subgroup)
-        rows = tuple(T.act_of(back[a]) for a in image.members)
-        induced.append(FiniteGSet(image, T.size, rows))
-    return SymmetricSequence(m.target, tuple(induced))
+    return SymmetricSequence(m.target, tuple(
+        FiniteGSet(image, T.size, [T.act_of(back[a]) for a in image.members])
+        for T in S.orbits for image in [m.image_subgroup(T.subgroup)]))
 
 
 @dataclass
@@ -314,8 +317,7 @@ class NonInjectiveWitness:
 def is_sigma_free_pairs(pairs: Iterable[tuple[int, Perm]]) -> bool:
     """An orbit with this stabilizer is Sigma-free iff no nonidentity
     permutation is paired with the group identity."""
-    return not any(g == 0 and any(s[i] != i for i in range(len(s)))
-                   for g, s in pairs)
+    return not any(g == 0 and s != identity_perm(len(s)) for g, s in pairs)
 
 
 def noninjective_induction_counterexample(f: Homomorphism) -> NonInjectiveWitness:
@@ -342,36 +344,32 @@ def noninjective_induction_counterexample(f: Homomorphism) -> NonInjectiveWitnes
 # the three change-of-group consistency checks
 
 
+def _realizes_check(law: str, systems: Sequence[TransferSystem], move,
+                    functor) -> LawReport:
+    """Moving each system's free model realizes the functor on it."""
+    for checked, t in enumerate(systems, 1):
+        got, want = symseq_transfer(move(free_model(t))), functor(t)
+        if got != want:
+            return LawReport(law, checked, {"t": t.pairs(), "got": got.pairs(),
+                                            "want": want.pairs()})
+    return LawReport(law, len(systems))
+
+
 def theoremB_res_check(f: Homomorphism,
                        target_systems: Sequence[TransferSystem]) -> LawReport:
     """Restricting a free model realizes the left inverse image."""
-    checked = 0
-    for t in target_systems:
-        checked += 1
-        restricted = restrict_symseq_predicted(f, free_model(t))
-        got = symseq_transfer(restricted)
-        want = preimage_L(f, t)
-        if got != want:
-            return LawReport("transfer(res of free model) = finvL", checked,
-                             {"t": t.pairs(), "got": got.pairs(),
-                              "want": want.pairs()})
-    return LawReport("transfer(res of free model) = finvL", checked)
+    return _realizes_check("transfer(res of free model) = finvL",
+                           target_systems,
+                           lambda S: restrict_symseq_predicted(f, S),
+                           lambda t: preimage_L(f, t))
 
 
 def theoremB_ind_check(m: Homomorphism,
                        source_systems: Sequence[TransferSystem]) -> LawReport:
     """Inducing a free model along an injective map realizes the left image."""
-    checked = 0
-    for t in source_systems:
-        checked += 1
-        induced = induce_symseq(m, free_model(t))
-        got = symseq_transfer(induced)
-        want = image_L(m, t)
-        if got != want:
-            return LawReport("transfer(ind of free model) = fL", checked,
-                             {"t": t.pairs(), "got": got.pairs(),
-                              "want": want.pairs()})
-    return LawReport("transfer(ind of free model) = fL", checked)
+    return _realizes_check("transfer(ind of free model) = fL", source_systems,
+                           lambda S: induce_symseq(m, S),
+                           lambda t: image_L(m, t))
 
 
 def theoremB_coind_check(G: Group) -> LawReport:

@@ -4,7 +4,8 @@ The oracles below are the earlier implementations, kept in behaviour: four
 separate coset enumerations over frozenset cosets (`coset_hset`,
 `right_coset_gset`, `induce_hset`, `orbit_symbols`), `hsets_up_to_iso` as a
 chain of validated disjoint unions, the member-tuple `iso_key`, and
-`admissible_class_of_transfer` as `admits` over every enumerated H-set,
+`admissible_class_of_transfer` as `admits` over every enumerated H-set
+and as the per-call loop over every orbit type,
 and `admissible_sets_of_symseq` as a subconjugacy test on the graph of
 every enumerated H-set, conjugating and restricting action tables.
 
@@ -30,10 +31,12 @@ from transys.groups import (
     full_subgroup,
     hset_of_orbits,
     hsets_up_to_iso,
+    id_mask,
     induce_hset,
     invert,
     iso_key,
     lattice_of,
+    orbit_types,
     right_coset_gset,
 )
 from transys.indexing import (
@@ -283,8 +286,21 @@ def _old_entries(lat, bound):
     return out
 
 
+def loop_admissible_entries(t):
+    """The admissible class as it was computed per call: every orbit type
+    of at most |G| points enumerated again and tested by its mask."""
+    lat, cols = t.lattice, t.columns
+    return frozenset((h_id, key)
+                     for h_id in range(lat.count)
+                     for n in range(lat.group.order + 1)
+                     for key in orbit_types(lat, h_id, n)
+                     if not id_mask(key) & ~cols[h_id])
+
+
 @pytest.mark.parametrize("name", CLASS_GROUPS)
 def test_admissible_classes_match_seed(name):
+    """The class read from the lattice's orbit-type table, against admits
+    over every seed H-set and against the per-call orbit-type loop."""
     G = group_by_name(name)
     lat = lattice_of(G)
     sets = _old_entries(lat, G.order)
@@ -292,7 +308,7 @@ def test_admissible_classes_match_seed(name):
         old = frozenset(entry for h_id, stabs, entry in sets
                         if all(t.has(s, h_id) for s in stabs))
         cls = admissible_class_of_transfer(t)
-        assert cls.entries == old
+        assert cls.entries == old == loop_admissible_entries(t)
 
 
 def _relabel(T, rng):

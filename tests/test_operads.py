@@ -2,9 +2,11 @@
 change-of-group on generators, and the obstruction to noninjective
 induction."""
 
+import functools
 import itertools
 import math
 import operator
+import random
 from collections import Counter
 
 import pytest
@@ -21,15 +23,16 @@ from transys.groups import (
     full_subgroup,
     FiniteGSet,
     generators,
-    graph_conjugacy_label,
     hset_of_orbits,
     identity_perm,
+    inclusion_hom,
     invert,
     lattice_of,
     reach,
     right_coset_gset,
     trivial_subgroup,
 )
+from transys.indexing import admissible_class_of_transfer
 from transys.operads import (
     CoindAsOperad,
     SymmetricSequence,
@@ -53,6 +56,8 @@ from transys.transfer import (
     discrete,
     enumerate_transfer_systems,
 )
+
+from test_groups import graph_conjugacy_label
 
 
 def test_free_model_shape():
@@ -535,9 +540,43 @@ def catalog_orbits():
 
 
 def formula_labels(f, orb):
-    """The labels the double-coset formula predicts for one orbit."""
+    """The labels the double-coset formula predicts for one orbit, read
+    from the pulled-back H-sets."""
+    image = Subgroup(f.target, tuple(set(f.map)))
     return sorted(graph_conjugacy_label(_pullback_orbit(f, r, orb))
-                  for r in double_cosets(f.target, f.image(), orb.subgroup))
+                  for r in double_cosets(f.target, image, orb.subgroup))
+
+
+def gset_direct_pullback_labels(f, T):
+    """The coset walk of the direct pullback with each orbit built as a
+    validated L-set and labelled from its action table."""
+    G, H = f.source, T.subgroup
+    reps, table = coset_action(f.target, f.target.elements(), H)
+    gen_rows = [table[f.map[g]] for g in generators(G)]
+    seen = set()
+    labels = []
+    for i in range(len(reps)):
+        if i in seen:
+            continue
+        seen.update(reach(i, lambda p: [row[p][0] for row in gen_rows]))
+        members, rows = [], []
+        for g in G.elements():
+            j, h = table[f.map[g]][i]
+            if j == i:
+                members.append(g)
+                rows.append(T.act_of(h))
+        labels.append(graph_conjugacy_label(
+            FiniteGSet(Subgroup(G, tuple(members)), T.size, rows)))
+    return sorted(labels)
+
+
+def assert_both_sides_match_oracles(f, orb, what):
+    """The id-level predicted and direct labels against the H-set
+    oracles of both sides."""
+    direct = _direct_pullback_labels(f, orb)
+    assert direct == gset_direct_pullback_labels(f, orb), what
+    assert operads._predicted_labels(f, orb) == formula_labels(f, orb) \
+        == direct, what
 
 
 def test_direct_pullback_matches_seed_bfs():
@@ -565,12 +604,63 @@ def test_direct_pullback_matches_seed_bfs():
 def test_direct_pullback_matches_formula_on_every_catalog_orbit():
     """The coset walk agrees with the double-coset formula on all 1,012
     catalog orbits, the 35 level-8 orbits into C8 among them that no walk
-    over G' x Sigma_n reaches within CODE_LIMIT."""
+    over G' x Sigma_n reaches within CODE_LIMIT; each side read from ids
+    agrees with its H-set oracle."""
     orbits = 0
     for name, f, orb in catalog_orbits():
-        assert _direct_pullback_labels(f, orb) == formula_labels(f, orb), name
+        assert_both_sides_match_oracles(f, orb, name)
         orbits += 1
     assert orbits == 1012
+
+
+@pytest.mark.parametrize("name, count", [("D4", 4660), ("C2xC4", 2688)])
+def test_both_sides_match_oracles_on_every_subgroup_inclusion(name, count):
+    """Every subgroup inclusion H -> G, against a seeded sample of 40
+    target systems: every orbit of their free models."""
+    G = group_by_name(name)
+    systems = random.Random(27).sample(enumerate_transfer_systems(G), 40)
+    orbits = 0
+    for H in lattice_of(G).subgroups:
+        f = inclusion_hom(H)
+        for t in systems:
+            for orb in free_model(t).orbits:
+                assert_both_sides_match_oracles(f, orb, (name, H, t.pairs()))
+                orbits += 1
+    assert orbits == count
+
+
+@pytest.mark.parametrize("name", ["C2", "S3", "K4", "C8"])
+def test_double_coset_check_rejects_a_sequence_off_the_target(name):
+    """A sequence over a group other than f's target is refused, as
+    restriction refuses it, not checked against the wrong lattice."""
+    f = catalog_hom("C2_into_C4")
+    S = free_model(complete(group_by_name(name)))
+    for check in (double_coset_check, restrict_symseq_predicted):
+        with pytest.raises(GroupError, match="wrong group for restriction"):
+            check(f, S)
+
+
+def test_hsets_leave_the_lattice_tables_unbuilt(monkeypatch):
+    """A fresh lattice and the H-sets of up to 3 points over every subgroup
+    (the operads benchmark's set-up) build neither the orbit-type table
+    nor the class representatives; an admissible class fills the first."""
+    import transys.groups as groups
+    import transys.transfer as transfer
+
+    fresh = functools.lru_cache(groups.SubgroupLattice)
+    monkeypatch.setattr(groups, "lattice_of", fresh)
+    monkeypatch.setattr(transfer, "lattice_of", fresh)
+    for name in ("C4", "K4", "S3"):
+        lat = groups.lattice_of(group_by_name(name))
+        for H in lat.subgroups:
+            for n in range(4):
+                groups.hsets_up_to_iso(H, n)
+        assert "orbit_type_masks" not in vars(lat)
+        assert "hclass_reps" not in vars(lat)
+        t = complete(lat.group)
+        assert t.lattice is lat
+        admissible_class_of_transfer(t)
+        assert "orbit_type_masks" in vars(lat)
 
 
 @pytest.mark.parametrize("mutation", ["formula_ignores_r",
@@ -580,9 +670,9 @@ def test_double_coset_check_catches_mutations(mutation, monkeypatch):
     by the identity instead of r, and a direct walk that moves cosets by
     the first generator of G only, each fail it on some catalog orbit."""
     if mutation == "formula_ignores_r":
-        pullback = operads._pullback_orbit
-        monkeypatch.setattr(operads, "_pullback_orbit",
-                            lambda f, r, T: pullback(f, 0, T))
+        label = operads._pullback_label
+        monkeypatch.setattr(operads, "_pullback_label",
+                            lambda f, r, T: label(f, 0, T))
     else:
         monkeypatch.setattr(operads, "generators",
                             lambda G: generators(G)[:1])
