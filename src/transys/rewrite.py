@@ -767,12 +767,8 @@ def _pair_parts(S, T) -> tuple[SymbolPool, FactorPart, FactorPart]:
 
 
 def pool_from_free_models(S, T) -> tuple[SymbolPool, dict, dict]:
-    """Pool for F(S') u F(T'): marked generators plus the two factors'
-    orbit symbols; z is the Y-side marked constant.
-
-    Returns the pool and, per factor, the map from each orbit to its
-    basepoint symbol (the representative of the identity coset).
-    """
+    """Pool for F(S') u F(T'), z being the Y-side marked constant, and per
+    factor the map from each orbit to its basepoint symbol."""
     pool, x, y = _pair_parts(S, T)
     return pool, x.base, y.base
 
@@ -895,13 +891,16 @@ class WitnessTable:
     slots, so the generator itself witnesses the pair.  Every term is
     re-verified to be fixed before it is kept.  A sequence that is not a
     free model leaves some pair of its transfer system without a
-    generator and is rejected.
+    generator and is rejected.  `WitnessFactory.witness` fills `verdicts`,
+    (k, h, mode kind) -> (normal form, verified), and `masks`, per mode kind
+    the verified pairs (bit k * n + h), on first request, never here.
     """
 
     def __init__(self, pool: SymbolPool, symseq, base: dict):
         lat = lattice_of(symseq.group)
         self.transfer = symseq.transfer_system
         self.witnesses: dict[tuple[int, int], Witness] = {}
+        self.verdicts, self.masks = {}, {"coproduct": 0, "tensor": 0}
         for T in symseq.orbits:
             H = T.subgroup
             k_id, h_id = T.stabilizer_ids[0], lat.id_of(H)
@@ -938,27 +937,21 @@ class AdmissibilityWitness:
 
 class WitnessFactory:
     """Shared pool and factor witness tables for one pair of generator
-    sequences; hands out verified join witnesses pair by pair.
+    sequences; hands out verified join witnesses pair by pair.  The pool
+    is the union of the two factor parts and the tables are theirs, so a
+    pair builds and validates nothing of its own but a normalizer per mode.
 
-    The pool is the union of the two factor parts and the tables are
-    theirs, so a pair builds and validates nothing of its own.  It keeps
-    one normalizer per mode.
-
-    A one-link witness is one generator of one factor table, so its term,
-    normal form and verdict depend on (table, pair, mode) alone.
-    ``verdicts`` maps those keys to (normal form, verified); a caller that
-    hands one dict to the factories of many pairs verifies each such
-    witness once.  Without one, the factory keeps its own.  A chain of
-    other than one link is composed and validated once per pair, for
-    both modes; only its verdict is per mode.
+    A one-link witness is one generator of one factor table, and every
+    pair pool holding the table gives it the same rows, rules and z, so
+    the table stores its normal form and verdict per mode.  A longer chain
+    is composed and validated once per pair; its verdict is per mode.
     """
 
-    def __init__(self, S, T, verdicts: Optional[dict] = None):
+    def __init__(self, S, T):
         self.pool, x, y = _pair_parts(S, T)
         self.lat = lattice_of(S.group)
         self.table_x, self.table_y = x.table, y.table
         self.join = join(self.table_x.transfer, self.table_y.transfer)
-        self.verdicts = {} if verdicts is None else verdicts
         self._normalizers: dict[str, Callable[[Term], Term]] = {}
         self._chain_witnesses: dict[tuple[int, int], Witness] = {}
 
@@ -972,8 +965,7 @@ class WitnessFactory:
         for table in (self.table_x, self.table_y):
             if (k_id, h_id) in table.witnesses:
                 return [(k_id, h_id, table)]
-        chains = {k_id: []}
-        frontier = [k_id]
+        chains, frontier = {k_id: []}, [k_id]
         while frontier and h_id not in chains:
             nxt = []
             for cur in frontier:
@@ -998,11 +990,8 @@ class WitnessFactory:
         return nf, _exhibits(self.pool, nf, witness.structure)
 
     def _witness(self, k_id: int, h_id: int, chain: list) -> Witness:
-        """The witness of a join pair along its chain, with its validated
-        H-set; neither depends on the mode, so a chain of other than one
-        link is composed and validated once per pair."""
-        if len(chain) == 1:
-            return chain[0][2].witness(k_id, h_id)
+        """A longer chain's composite witness and its validated H-set, built
+        once per pair, as neither depends on the mode."""
         witness = self._chain_witnesses.get((k_id, h_id))
         if witness is not None:
             return witness
@@ -1028,14 +1017,15 @@ class WitnessFactory:
         if not self.join.has(k_id, h_id):
             raise RewriteError(f"pair ({k_id},{h_id}) is not in the join")
         chain = self._chain(k_id, h_id)
-        witness = self._witness(k_id, h_id, chain)
         if len(chain) != 1:
+            witness = self._witness(k_id, h_id, chain)
             nf, verified = self._verdict(witness, mode)
         else:
-            key = (chain[0][2], k_id, h_id, mode.kind)
-            hit = self.verdicts.get(key)
+            table, key = chain[0][2], (k_id, h_id, mode.kind)
+            witness, hit = table.witness(k_id, h_id), table.verdicts.get(key)
             if hit is None:
-                hit = self.verdicts[key] = self._verdict(witness, mode)
+                hit = table.verdicts[key] = self._verdict(witness, mode)
+                table.masks[mode.kind] |= hit[1] << (k_id * self.lat.count + h_id)
             nf, verified = hit
         return AdmissibilityWitness((k_id, h_id), witness.term,
                                     witness.subgroup, witness.structure,

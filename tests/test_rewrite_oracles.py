@@ -178,6 +178,8 @@ class SeedWitnessTable:
                            if s.factor == factor and s.arity == 0)
         self.transfer = symseq_transfer(symseq)
         self.witnesses = {}
+        # the verdict store a factory reads on every table it holds
+        self.verdicts, self.masks = {}, {"coproduct": 0, "tensor": 0}
         for i in range(self.lat.count):
             self._insert(i, i, Var(1))
         for orb in symseq.orbits:
@@ -881,8 +883,9 @@ def test_pair_pool_matches_per_pair_build(name):
             factory = WitnessFactory(S, T)
             oracle = copy.copy(factory)
             oracle.pool = seed
-            # normalizers bound to the seed pool, and verdicts of its own
-            oracle._normalizers, oracle.verdicts = {}, {}
+            # normalizers bound to the seed pool; the fresh tables below
+            # keep verdicts of their own
+            oracle._normalizers = {}
             oracle.table_x = WitnessTable(seed, S, seed_x)
             oracle.table_y = WitnessTable(seed, T, seed_y)
             oracle.join = join(oracle.table_x.transfer, oracle.table_y.transfer)

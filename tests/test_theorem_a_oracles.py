@@ -15,8 +15,12 @@ here as oracles:
 - the join as the closure of the union of both masks (`union_join`),
   where `join` closes t onto the already closed s;
 - the join witness normalized and verified afresh for every pair and
-  every call (`per_pair_witness`), where `suite_thmA_tensor` shares one
-  verdict per one-link witness across a run;
+  every call (`per_pair_witness`), where each factor table keeps one
+  verdict per one-link witness and mode for every pair it serves;
+- the join witness with its one-link verdicts in a private store keyed
+  on the table (`private_store_witness`), and the tensor suite walking
+  every case of every pair of systems through it (`per_case_thmA_tensor`),
+  where `suite_thmA_tensor` counts the one-link cases by mask;
 - the ascending generator loop over a whole group (`group_generators`),
   where `generators(G)` reads `Subgroup.generators`.
 Each is compared on every case of C4, K4 and S3 and on a seeded D4 slice
@@ -32,7 +36,7 @@ import pytest
 
 from transys.catalog import catalog_homs, group_by_name
 from transys.functors import LawReport
-from transys import operads
+from transys import operads, rewrite, suites
 from transys.groups import (
     FiniteGSet,
     GroupError,
@@ -66,12 +70,14 @@ from transys.rewrite import (
     _compose_witnesses,
     _exhibits,
     _normalizer,
+    factor_part,
     fixed_perm,
     fixed_structure,
+    format_term,
     pool_from_free_models,
     term_arity,
 )
-from transys.suites import suite_thmA_tensor
+from transys.suites import SuiteReport, suite_thmA_tensor
 from transys.transfer import (
     TransferSystem,
     TransferSystemError,
@@ -450,34 +456,77 @@ def test_join_rejects_mismatched_groups_as_before():
 
 
 # ---------------------------------------------------------------------------
-# one verdict per one-link witness per run
+# one verdict per one-link witness, kept on its factor table
 
 
-class TablelessVerdicts(dict):
-    """A verdict store whose keys drop the factor table."""
+@pytest.fixture
+def fresh_tables():
+    """Factor parts built afresh for the test and dropped after it, so no
+    stored verdict reaches the test from before it or leaves it."""
+    factor_part.cache_clear()
+    yield
+    factor_part.cache_clear()
 
-    def get(self, key, default=None):
-        return super().get(key[1:], default)
 
-    def __setitem__(self, key, value):
-        super().__setitem__(key[1:], value)
+def private_store_witness(factory, k_id, h_id, mode, verdicts):
+    """`WitnessFactory.witness` keeping its one-link verdicts in
+    ``verdicts``, keyed on (table, k, h, mode kind), and not on the
+    tables."""
+    if not factory.join.has(k_id, h_id):
+        raise RewriteError(f"pair ({k_id},{h_id}) is not in the join")
+    chain = factory._chain(k_id, h_id)
+    if len(chain) != 1:
+        witness = factory._witness(k_id, h_id, chain)
+        nf, verified = factory._verdict(witness, mode)
+    else:
+        table = chain[0][2]
+        witness = table.witness(k_id, h_id)
+        key = (table, k_id, h_id, mode.kind)
+        if key not in verdicts:
+            verdicts[key] = factory._verdict(witness, mode)
+        nf, verified = verdicts[key]
+    return AdmissibilityWitness((k_id, h_id), witness.term, witness.subgroup,
+                                witness.structure, nf, mode.kind, verified)
 
 
-def _witness_mismatches(name, verdicts):
-    """Fields on which a run sharing ``verdicts`` differs from the per-pair
-    path, over every join pair of every pair of systems in both modes."""
+def per_case_thmA_tensor(name, flips=None):
+    """`suite_thmA_tensor` on the slice, walking every case: a fresh
+    factory for every pair of systems, with a private verdict store that
+    starts from ``flips``, and `witness` for every join pair and mode."""
+    report = SuiteReport("thmA-tensor", {"group": name})
+    for s, S in zip(_systems(name), _models(name)):
+        for t, T in zip(_systems(name), _models(name)):
+            factory = WitnessFactory(S, T)
+            verdicts = dict(flips or {})
+            for k_id, h_id in factory.join.pairs():
+                for mode in (COPRODUCT, TENSOR):
+                    w = private_store_witness(factory, k_id, h_id, mode,
+                                              verdicts)
+                    report.cases += 1
+                    if not w.verified:
+                        report.failures.append(
+                            {"pair": [k_id, h_id], "mode": mode.kind,
+                             "s": s.pairs(), "t": t.pairs(),
+                             "witness": format_term(w.term)})
+    return report
+
+
+def _witness_mismatches(name):
+    """Fields on which the factories' witnesses, read through the verdicts
+    the tables keep, differ from the per-pair path, over every join pair
+    of every pair of systems in both modes."""
     mismatches = []
     one_link = 0
     for S in _models(name):
         for T in _models(name):
-            shared = WitnessFactory(S, T, verdicts)
-            private = WitnessFactory(S, T)
-            for k_id, h_id in shared.join.pairs():
-                one_link += len(shared._chain(k_id, h_id)) == 1
+            factory = WitnessFactory(S, T)
+            for k_id, h_id in factory.join.pairs():
+                one_link += len(factory._chain(k_id, h_id)) == 1
                 for mode in (COPRODUCT, TENSOR):
-                    w = shared.witness(k_id, h_id, mode)
-                    expected = per_pair_witness(private, k_id, h_id, mode)
-                    assert private.witness(k_id, h_id, mode) == expected
+                    w = factory.witness(k_id, h_id, mode)
+                    expected = per_pair_witness(factory, k_id, h_id, mode)
+                    assert private_store_witness(factory, k_id, h_id, mode,
+                                                 {}) == expected
                     mismatches.extend(
                         (k_id, h_id, mode.kind, f.name) for f in fields(w)
                         if getattr(w, f.name) != getattr(expected, f.name))
@@ -485,14 +534,25 @@ def _witness_mismatches(name, verdicts):
 
 
 @pytest.mark.parametrize("name", sorted(SLICES))
-def test_shared_verdicts_match_per_pair_path(name):
-    verdicts = {}
-    mismatches, one_link = _witness_mismatches(name, verdicts)
+def test_shared_verdicts_match_per_pair_path(name, fresh_tables):
+    mismatches, one_link = _witness_mismatches(name)
     assert not mismatches
-    # the store holds one entry per (table, pair, mode), far fewer than
-    # the one-link witnesses it served
-    assert 0 < len(verdicts) < 2 * one_link
-    assert all(v[1] for v in verdicts.values())
+    # the tables hold one entry per (table, pair, mode), far fewer than the
+    # one-link witnesses they served, and each mask is the set of pairs
+    # whose entry in that mode verified
+    n = lattice_of(group_by_name(name)).count
+    entries = 0
+    for S in _models(name):
+        for factor in "XY":
+            table = factor_part(S, factor).table
+            entries += len(table.verdicts)
+            assert all(ok for _, ok in table.verdicts.values())
+            for kind, mask in table.masks.items():
+                assert mask == sum(1 << k * n + h
+                                   for (k, h, m), (_, ok)
+                                   in table.verdicts.items()
+                                   if m == kind and ok)
+    assert 0 < entries < 2 * one_link
 
 
 @pytest.mark.parametrize("name", sorted(SLICES))
@@ -516,17 +576,73 @@ def test_chain_witness_built_once_for_both_modes(name):
 
 
 @pytest.mark.parametrize("name", sorted(SLICES))
-def test_verdict_key_without_the_factor_table_is_caught(name):
-    """The X and Y tables hold the same pairs with different generators,
-    so a store keyed by (pair, mode) alone hands one factor's normal form
-    to the other."""
-    mismatches, _ = _witness_mismatches(name, TablelessVerdicts())
+def test_verdict_key_without_the_factor_table_is_caught(name, fresh_tables):
+    """A model's X and Y tables hold the same pairs with different
+    generators, so one store shared by the two hands one factor's normal
+    form to the other."""
+    for S in _models(name):
+        x, y = factor_part(S, "X").table, factor_part(S, "Y").table
+        y.verdicts, y.masks = x.verdicts, x.masks
+    mismatches, _ = _witness_mismatches(name)
     assert {m[3] for m in mismatches} == {"normal_form"}
 
 
+def test_tables_decide_no_verdict_until_a_witness_is_asked_for(
+        fresh_tables, monkeypatch):
+    """`pool_from_free_models(S, S)`, which the `rewrite` benchmark set-up
+    calls, and `factor_part` build the tables but decide no verdict; the
+    first `_exhibits` call comes with the first witness asked for."""
+    calls = []
+    monkeypatch.setattr(rewrite, "_exhibits",
+                        lambda *args: calls.append(args) or _exhibits(*args))
+    S = max(_models("S3"), key=lambda S: len(S.orbits))
+    pool_from_free_models(S, S)
+    tables = [factor_part(S, factor).table for factor in "XY"]
+    factory = WitnessFactory(S, S)
+    assert not calls
+    assert all(not t.verdicts and not any(t.masks.values()) for t in tables)
+    k_id, h_id = factory.join.pairs()[0]
+    assert factory.witness(k_id, h_id, TENSOR).verified
+    assert len(calls) == 1
+    assert list(tables[0].verdicts) == [(k_id, h_id, TENSOR.kind)]
+    assert not tables[1].verdicts
+
+
+@pytest.mark.parametrize("name", sorted(SLICES))
+def test_thmA_tensor_counts_by_mask_as_the_per_case_path(
+        name, fresh_tables, monkeypatch):
+    """The suite on every pair of systems of the slice against the per-case
+    path: the same cases and failures, clean, and with the stored
+    coproduct verdict of one pair on one X table flipped along with its
+    mask bit, which fails that pair with every partner system."""
+    monkeypatch.setattr(suites, "enumerate_transfer_systems",
+                        lambda G, budget: _systems(name))
+    clean = suite_thmA_tensor(name)
+    assert clean.to_json() == per_case_thmA_tensor(name).to_json()
+    assert clean.passed and clean.cases
+    n = lattice_of(group_by_name(name)).count
+    s, S = max(zip(_systems(name), _models(name)),
+               key=lambda pair: len(pair[1].orbits))
+    table = factor_part(S, "X").table
+    k_id, h_id = min(table.witnesses)
+    key = (k_id, h_id, COPRODUCT.kind)
+    nf, verified = table.verdicts[key]
+    assert verified
+    table.verdicts[key] = nf, False
+    table.masks[COPRODUCT.kind] &= ~(1 << k_id * n + h_id)
+    flipped = suite_thmA_tensor(name)
+    expected = per_case_thmA_tensor(
+        name, {(table, k_id, h_id, COPRODUCT.kind): (nf, False)})
+    assert flipped.to_json() == expected.to_json()
+    assert flipped.cases == clean.cases
+    assert len(flipped.failures) == len(_systems(name))
+    assert all(f["pair"] == [k_id, h_id] and f["mode"] == COPRODUCT.kind
+               and f["s"] == s.pairs() for f in flipped.failures)
+
+
 def test_thmA_tensor_report_matches_per_pair_path():
-    """The suite on C4, run through the shared store, against per-pair
-    witnesses: the same cases and no failures."""
+    """The suite on C4, counted by mask, against per-pair witnesses: the
+    same cases and no failures."""
     report = suite_thmA_tensor("C4")
     cases = 0
     for S in _models("C4"):
